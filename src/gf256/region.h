@@ -5,8 +5,12 @@
 // One function-pointer dispatch table is selected at startup from the best
 // instruction set the host supports. The ladder, best first:
 //
-//   x86-64:  gfni512 > gfni256 > avx2 > ssse3 > swar64 > scalar
-//   arm64:   neon > swar64 > scalar
+//   x86-64:  gfni512 > gfni256 > avx2 > ssse3 > scalar
+//   arm64:   neon > scalar
+//
+// swar64 (the CPU analog of the paper's loop-based kernel) is runnable
+// everywhere and listed after scalar: it measures about half of scalar's
+// speed, so it is never selected unless forced.
 //
 // The environment variable EXTNC_GF256_BACKEND forces a specific backend
 // process-wide (CI loops the unit tests over every supported name); an
@@ -58,7 +62,8 @@ struct Ops {
 const Ops& ops();
 
 // All backends the current machine can run, best first. The scalar backend
-// is always present and always last.
+// is always present and always the last rung of the ladder; only the
+// forceable swar64 follows it.
 const std::vector<const Ops*>& available_backends();
 
 // Every backend name compiled into this build, best first, whether or not

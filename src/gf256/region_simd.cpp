@@ -584,7 +584,7 @@ const Ops kGfni512Ops{"gfni512",     gfni512_add,
 // the error paths enumerate from here (and from available_backends()), so
 // adding a backend updates every tool and message automatically.
 constexpr std::array<std::string_view, 7> kRegisteredNames = {
-    "gfni512", "gfni256", "avx2", "ssse3", "neon", "swar64", "scalar"};
+    "gfni512", "gfni256", "avx2", "ssse3", "neon", "scalar", "swar64"};
 
 std::vector<const Ops*> detect_backends() {
   std::vector<const Ops*> backends;
@@ -602,8 +602,11 @@ std::vector<const Ops*> detect_backends() {
   if (__builtin_cpu_supports("ssse3")) backends.push_back(&kSsse3Ops);
 #endif
   if (const Ops* neon = neon_backend()) backends.push_back(neon);
-  backends.push_back(&swar64_ops());
+  // swar64 runs everywhere but measures about half of scalar's speed
+  // (micro_gf256), so it is listed after scalar: forceable, never the
+  // best-first pick.
   backends.push_back(&scalar_ops());
+  backends.push_back(&swar64_ops());
   return backends;
 }
 

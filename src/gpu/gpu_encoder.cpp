@@ -57,6 +57,17 @@ GpuEncoder::GpuEncoder(const simgpu::DeviceSpec& spec,
       }
     }
   }
+  if (scheme_ != EncodeScheme::kLoopBased &&
+      scheme_ != EncodeScheme::kTable4) {
+    table_load_counters_ =
+        table_load_segment(
+            spec, scheme_, encode_geometry(spec, scheme_, p, 1).threads, 1,
+            reinterpret_cast<std::uintptr_t>(
+                scheme_ == EncodeScheme::kTable5 ? exp_table_words_.data()
+                                                 : exp_table_bytes_.data()),
+            reinterpret_cast<std::uintptr_t>(log_table_bytes_.data()))
+            .counters;
+  }
   // Attach before the construction-time preprocessing launch so it runs
   // checked too.
   attach_checker(checker);
@@ -159,7 +170,7 @@ void GpuEncoder::encode_into(coding::CodedBatch& batch) {
 }
 
 // Sec. 5.1.1 step (1): transform the segment to the log domain, one thread
-// per 32-bit word, reading through the shared log table.
+// per 32-bit word.
 void GpuEncoder::preprocess_segment() {
   const coding::Params& p = params();
   log_segment_ = AlignedBuffer(p.segment_bytes());
@@ -167,74 +178,14 @@ void GpuEncoder::preprocess_segment() {
     checker_->watch_global(log_segment_.data(), log_segment_.size(),
                            "log_segment");
   }
-  const gf256::Tables& t = gf256::tables();
-  const bool shifted = scheme_uses_shifted_log(scheme_);
-  const std::uint8_t* log_table = shifted ? t.log_shifted : t.log;
-
-  const std::size_t words = p.segment_bytes() / 4;
-  const std::size_t threads = 256;
-  const std::size_t blocks = std::min<std::size_t>(
-      launcher_.spec().num_sms, (words + threads - 1) / threads);
-  const std::uint8_t* src = segment_->data();
-  std::uint8_t* dst = log_segment_.data();
-
-  set_launch_label("preprocess_segment");
-  launcher_.reset_metrics();
-  launcher_.launch(
-      {.blocks = blocks, .threads_per_block = threads},
-      [&](BlockCtx& block) {
-        const std::size_t stride = blocks * threads;
-        if (block.fast_path()) {
-          metrics::count("simgpu.fast.lowered_blocks");
-          // Bulk lowering; partial half-warps (tail of the word range) are
-          // contiguous low lanes, so each group is one span.
-          const std::size_t half = block.spec().half_warp;
-          const std::uint64_t byte_deci =
-              simgpu::KernelMetrics::deciops(kPreprocessPerByte);
-          std::uint64_t alu = 0;
-          for (std::size_t base = block.block_index() * threads;
-               base < words; base += stride) {
-            const std::size_t lanes_end = std::min(threads, words - base);
-            for (std::size_t l0 = 0; l0 < lanes_end; l0 += half) {
-              const std::size_t w0 = base + l0;
-              const std::size_t cnt = std::min(half, words - w0);
-              block.fast_global_span(
-                  reinterpret_cast<std::uintptr_t>(src + w0 * 4), cnt * 4,
-                  cnt, cnt * 4, 0);
-              for (std::size_t x = w0 * 4; x < (w0 + cnt) * 4; ++x) {
-                dst[x] = log_table[src[x]];
-              }
-              alu += cnt * 4 * byte_deci;
-              block.fast_global_span(
-                  reinterpret_cast<std::uintptr_t>(dst + w0 * 4), cnt * 4,
-                  cnt, 0, cnt * 4);
-            }
-          }
-          block.fast_alu_deciops(alu);
-          block.fast_barriers(1);
-          return;
-        }
-        block.step([&](ThreadCtx& thread) {
-          for (std::size_t w = block.block_index() * threads + thread.lane();
-               w < words; w += stride) {
-            std::uint32_t in = thread.gload_u32(src + w * 4);
-            std::uint32_t out = 0;
-            for (int b = 0; b < 4; ++b) {
-              const auto byte = static_cast<std::uint8_t>(in >> (8 * b));
-              out |= static_cast<std::uint32_t>(log_table[byte]) << (8 * b);
-              thread.count_alu(kPreprocessPerByte);
-            }
-            thread.gstore_u32(dst + w * 4, out);
-          }
-        });
-      });
-  preprocess_metrics_.merge(launcher_.metrics());
+  run_log_transform("preprocess_segment", segment_->data(),
+                    log_segment_.data(), p.segment_bytes() / 4, 4);
 }
 
-// Sec. 5.1.1 step (2): coefficient matrix to the log domain.
+// Sec. 5.1.1 step (2): coefficient matrix to the log domain, one thread per
+// coefficient byte.
 void GpuEncoder::preprocess_coefficients(const coding::CodedBatch& batch) {
-  const coding::Params& p = params();
-  const std::size_t bytes = batch.count() * p.n;
+  const std::size_t bytes = batch.count() * params().n;
   if (checker_ != nullptr && !log_coefficients_.empty()) {
     checker_->unwatch_global(log_coefficients_.data());  // being reallocated
   }
@@ -243,125 +194,214 @@ void GpuEncoder::preprocess_coefficients(const coding::CodedBatch& batch) {
     checker_->watch_global(log_coefficients_.data(), log_coefficients_.size(),
                            "log_coefficients");
   }
-  const gf256::Tables& t = gf256::tables();
-  const bool shifted = scheme_uses_shifted_log(scheme_);
-  const std::uint8_t* log_table = shifted ? t.log_shifted : t.log;
-  const std::uint8_t* src = batch.coefficients_data();
-  std::uint8_t* dst = log_coefficients_.data();
+  run_log_transform("preprocess_coeffs", batch.coefficients_data(),
+                    log_coefficients_.data(), bytes, 1);
+}
 
+namespace {
+
+// dst[x] = table[src[x]] over `bytes` bytes.
+void lookup_bytes(const std::uint8_t* table, const std::uint8_t* src,
+                  std::uint8_t* dst, std::size_t bytes) {
+  for (std::size_t x = 0; x < bytes; ++x) dst[x] = table[src[x]];
+}
+
+}  // namespace
+
+// The log-domain transform kernel: one thread per element (a 4-byte word or
+// a single byte), strided over one resident block per SM, reading every
+// byte through the scheme's log table.
+void GpuEncoder::run_log_transform(const char* kernel, const std::uint8_t* src,
+                                   std::uint8_t* dst, std::size_t elements,
+                                   std::size_t element_bytes) {
+  const gf256::Tables& t = gf256::tables();
+  const std::uint8_t* log_table =
+      scheme_uses_shifted_log(scheme_) ? t.log_shifted : t.log;
   const std::size_t threads = 256;
   const std::size_t blocks = std::min<std::size_t>(
-      launcher_.spec().num_sms, (bytes + threads - 1) / threads);
-  set_launch_label("preprocess_coeffs");
+      launcher_.spec().num_sms, (elements + threads - 1) / threads);
+  const std::size_t stride = blocks * threads;
+
+  set_launch_label(kernel);
   launcher_.reset_metrics();
   launcher_.launch(
       {.blocks = blocks, .threads_per_block = threads},
       [&](BlockCtx& block) {
-        const std::size_t stride = blocks * threads;
         if (block.fast_path()) {
           metrics::count("simgpu.fast.lowered_blocks");
-          const std::size_t half = block.spec().half_warp;
-          const std::uint64_t byte_deci =
-              simgpu::KernelMetrics::deciops(kPreprocessPerByte);
-          std::uint64_t alu = 0;
           for (std::size_t base = block.block_index() * threads;
-               base < bytes; base += stride) {
-            const std::size_t lanes_end = std::min(threads, bytes - base);
-            for (std::size_t l0 = 0; l0 < lanes_end; l0 += half) {
-              const std::size_t i0 = base + l0;
-              const std::size_t cnt = std::min(half, bytes - i0);
-              block.fast_global_span(
-                  reinterpret_cast<std::uintptr_t>(src + i0), cnt, cnt, cnt,
-                  0);
-              for (std::size_t x = 0; x < cnt; ++x) {
-                dst[i0 + x] = log_table[src[i0 + x]];
-              }
-              alu += cnt * byte_deci;
-              block.fast_global_span(
-                  reinterpret_cast<std::uintptr_t>(dst + i0), cnt, cnt, 0,
-                  cnt);
-            }
+               base < elements; base += stride) {
+            const std::size_t first = base * element_bytes;
+            lookup_bytes(log_table, src + first, dst + first,
+                         std::min(threads, elements - base) * element_bytes);
           }
-          block.fast_alu_deciops(alu);
-          block.fast_barriers(1);
+          simgpu::SegmentBuilder seg(block.spec(), "transform");
+          walk_preprocess_block(block.spec(), elements, element_bytes,
+                                threads, blocks, block.block_index(),
+                                reinterpret_cast<std::uintptr_t>(src),
+                                reinterpret_cast<std::uintptr_t>(dst), seg);
+          block.charge(seg.finish(threads, 1).counters);
           return;
         }
         block.step([&](ThreadCtx& thread) {
-          for (std::size_t i = block.block_index() * threads + thread.lane();
-               i < bytes; i += stride) {
-            const std::uint8_t c = thread.gload_u8(src + i);
-            thread.count_alu(kPreprocessPerByte);
-            thread.gstore_u8(dst + i, log_table[c]);
+          for (std::size_t e = block.block_index() * threads + thread.lane();
+               e < elements; e += stride) {
+            if (element_bytes == 1) {
+              const std::uint8_t c = thread.gload_u8(src + e);
+              thread.count_alu(kPreprocessPerByte);
+              thread.gstore_u8(dst + e, log_table[c]);
+              continue;
+            }
+            const std::uint32_t in = thread.gload_u32(src + e * 4);
+            std::uint32_t out = 0;
+            for (int b = 0; b < 4; ++b) {
+              const auto byte = static_cast<std::uint8_t>(in >> (8 * b));
+              out |= static_cast<std::uint32_t>(log_table[byte]) << (8 * b);
+              thread.count_alu(kPreprocessPerByte);
+            }
+            thread.gstore_u32(dst + e * 4, out);
           }
         });
       });
   preprocess_metrics_.merge(launcher_.metrics());
 }
 
+namespace {
+
+// Output words [w, end) of a batch (one word per kernel thread), computed
+// the fast way: each same-coded-block run is Eq. 1 over natural-domain
+// bytes, one region multiply-add per source row. The log-domain round trip
+// of the table kernels is exact GF(2^8) arithmetic, so the bytes are the
+// ones every interpreted kernel stores.
+void encode_words(const coding::Params& p, const std::uint8_t* src,
+                  const std::uint8_t* coeffs, std::uint8_t* out,
+                  std::size_t w, std::size_t end) {
+  const gf256::Ops& gops = gf256::ops();
+  const std::size_t wpb = p.k / 4;
+  while (w < end) {
+    const std::size_t j = w / wpb;
+    const std::size_t word = w % wpb;
+    const std::size_t run = std::min(wpb - word, end - w);
+    std::uint8_t* dst = out + j * p.k + word * 4;
+    std::memset(dst, 0, run * 4);
+    for (std::size_t i = 0; i < p.n; ++i) {
+      gops.mul_add_region(dst, src + i * p.k + word * 4, coeffs[j * p.n + i],
+                          run * 4);
+    }
+    w += run;
+  }
+}
+
+// The aligned lowerings charge whole same-coded-block runs. That needs
+// every half-warp group to lie in one coded block, and consecutive groups
+// to sit a whole number of coalescing segments apart, so that all groups
+// of a run share one coalescing phase.
+bool aligned_runs(const simgpu::DeviceSpec& spec, const EncodeGeometry& g) {
+  return g.half <= 16 && g.wpb % g.half == 0 && g.threads % g.half == 0 &&
+         (g.half * 4) % spec.coalesce_segment_bytes == 0;
+}
+
+}  // namespace
+
+// Fast form shared by every scheme for blocks the profiled lowerings cannot
+// take (half-warps straddling coded blocks: the recoder's aggregate
+// pseudo-segment, ragged tails): outputs as same-coded-block region runs,
+// counters from the encode kernel's access walker over this one block.
+void GpuEncoder::encode_block_walked(BlockCtx& block,
+                                     const EncodeGeometry& g,
+                                     const EncodeBuffers& buffers,
+                                     coding::CodedBatch& batch) {
+  metrics::count("simgpu.fast.straddle_blocks");
+  for (std::size_t base = block.block_index() * g.threads;
+       base < g.total_words; base += g.blocks * g.threads) {
+    encode_words(params(), segment_->data(), batch.coefficients_data(),
+                 batch.payloads_data(), base,
+                 std::min(base + g.threads, g.total_words));
+  }
+  simgpu::SegmentBuilder seg(block.spec(), "encode");
+  walk_encode_block(scheme_, params(), g, block.block_index(), buffers,
+                    scheme_ == EncodeScheme::kTable4 ? &block.texture_cache()
+                                                     : nullptr,
+                    seg);
+  block.charge(table_load_counters_);
+  block.charge(seg.finish(g.threads, 1).counters);
+}
+
 // Fig. 2 partitioning: thread blocks of 256, one thread per output word.
 void GpuEncoder::run_loop_based(coding::CodedBatch& batch) {
   const coding::Params p = params();
-  const std::size_t words_per_block = p.k / 4;
-  const std::size_t total_words = batch.count() * words_per_block;
-  const std::size_t threads = std::min<std::size_t>(256, total_words);
-  const std::size_t blocks = (total_words + threads - 1) / threads;
+  const EncodeGeometry g =
+      encode_geometry(launcher_.spec(), scheme_, p, batch.count());
+  const std::size_t words_per_block = g.wpb;
+  const std::size_t total_words = g.total_words;
+  const std::size_t threads = g.threads;
   const EncodeCost cost = encode_cost(scheme_);
 
   const std::uint8_t* src = segment_->data();
   const std::uint8_t* coeffs = batch.coefficients_data();
   std::uint8_t* out = batch.payloads_data();
+  const EncodeBuffers buffers{
+      .src = src,
+      .coeffs = coeffs,
+      .src_addr = reinterpret_cast<std::uintptr_t>(src),
+      .coeff_addr = reinterpret_cast<std::uintptr_t>(coeffs),
+      .out_addr = reinterpret_cast<std::uintptr_t>(out)};
+
+  const bool aligned = aligned_runs(launcher_.spec(), g);
 
   set_launch_label("mul_loop");
   launcher_.launch(
-      {.blocks = blocks, .threads_per_block = threads}, [&](BlockCtx& block) {
-        // Bulk lowering: one SIMD region op per (half-warp, coded-block-i)
-        // pair instead of 16 interpreted lanes, with group accounting that
-        // mirrors the lane-at-a-time groups exactly (BlockCtx::fast_path).
-        // When half-warps straddle coded blocks (or the block is not whole
-        // half-warps) the generic per-lane-group walker lowers instead.
-        const std::size_t half = block.spec().half_warp;
-        if (block.fast_path() &&
-            (words_per_block % half != 0 || threads % half != 0)) {
+      {.blocks = g.blocks, .threads_per_block = threads},
+      [&](BlockCtx& block) {
+        const std::size_t half = g.half;
+        if (block.fast_path() && half <= 16) {
           metrics::count("simgpu.fast.lowered_blocks");
-          metrics::count("simgpu.fast.straddle_blocks");
-          run_loop_based_fast_straddle(block, cost, total_words, threads,
-                                       coeffs, out);
-          return;
-        }
-        if (block.fast_path()) {
-          metrics::count("simgpu.fast.lowered_blocks");
-          const gf256::Ops& gops = gf256::ops();
+          if (!aligned) {
+            encode_block_walked(block, g, buffers, batch);
+            return;
+          }
+          // Aligned lowering, charged per same-coded-block run: each
+          // half-warp step is one coefficient broadcast (one transaction),
+          // one source span and one store span per group, plus one issue
+          // slot per lane access.
           const std::size_t span = half * 4;
+          const std::uint64_t seg_bytes = block.spec().coalesce_segment_bytes;
           const std::uint64_t word_deci =
-              half * simgpu::KernelMetrics::deciops(cost.per_word);
-          std::uint64_t alu_deci = 0;
+              simgpu::KernelMetrics::deciops(cost.per_word);
+          simgpu::KernelMetrics counters;
           const std::size_t begin = block.block_index() * threads;
           const std::size_t end = std::min(begin + threads, total_words);
-          for (std::size_t w0 = begin; w0 < end; w0 += half) {
-            const std::size_t j = w0 / words_per_block;
-            const std::size_t word = w0 % words_per_block;
+          encode_words(p, src, coeffs, out, begin, end);
+          for (std::size_t w = begin; w < end;) {
+            const std::size_t j = w / words_per_block;
+            const std::size_t word = w % words_per_block;
+            const std::size_t run = std::min(words_per_block - word, end - w);
+            const std::uint64_t lanes = run;  // gc groups of `half` lanes
+            const std::uint64_t gc = run / half;
             const std::uint8_t* coeff_row = coeffs + j * p.n;
-            std::uint8_t* dst = out + j * p.k + word * 4;
-            std::memset(dst, 0, span);
             for (std::size_t i = 0; i < p.n; ++i) {
-              const std::uint8_t c = coeff_row[i];
-              block.fast_global_span(
-                  reinterpret_cast<std::uintptr_t>(coeff_row + i), 1, half,
-                  half, 0);
-              const std::uint8_t* s = src + i * p.k + word * 4;
-              block.fast_global_span(reinterpret_cast<std::uintptr_t>(s),
-                                     span, half, span, 0);
-              gops.mul_add_region(dst, s, c, span);
-              alu_deci += half * simgpu::KernelMetrics::deciops(
-                                     cost.per_iteration *
-                                     gf256::loop_iterations(c));
+              counters.global_transactions +=
+                  gc * (1 + simgpu::span_transactions(
+                                reinterpret_cast<std::uintptr_t>(
+                                    src + i * p.k + word * 4),
+                                span, seg_bytes));
+              counters.alu_deciops +=
+                  lanes * simgpu::KernelMetrics::deciops(
+                              cost.per_iteration *
+                              gf256::loop_iterations(coeff_row[i]));
             }
-            alu_deci += word_deci;
-            block.fast_global_span(reinterpret_cast<std::uintptr_t>(dst),
-                                   span, half, 0, span);
+            counters.global_transactions +=
+                gc * simgpu::span_transactions(
+                         reinterpret_cast<std::uintptr_t>(out + j * p.k +
+                                                          word * 4),
+                         span, seg_bytes);
+            counters.global_load_bytes += lanes * 5 * p.n;
+            counters.global_store_bytes += lanes * 4;
+            counters.alu_deciops += lanes * (word_deci + 10 * (2 * p.n + 1));
+            w += run;
           }
-          block.fast_alu_deciops(alu_deci);
-          block.fast_barriers(1);
+          counters.barriers = 1;
+          block.charge(counters);
           return;
         }
         block.step([&](ThreadCtx& thread) {
@@ -390,12 +430,12 @@ void GpuEncoder::run_loop_based(coding::CodedBatch& batch) {
 // tables loaded into shared memory once per block.
 void GpuEncoder::run_table_based(coding::CodedBatch& batch) {
   const coding::Params p = params();
-  const std::size_t words_per_block = p.k / 4;
-  const std::size_t total_words = batch.count() * words_per_block;
-  const std::size_t threads = 256;
-  const std::size_t blocks =
-      std::min<std::size_t>(launcher_.spec().num_sms,
-                            (total_words + threads - 1) / threads);
+  const EncodeGeometry g =
+      encode_geometry(launcher_.spec(), scheme_, p, batch.count());
+  const std::size_t words_per_block = g.wpb;
+  const std::size_t total_words = g.total_words;
+  const std::size_t threads = g.threads;
+  const std::size_t blocks = g.blocks;
   const EncodeCost cost = encode_cost(scheme_);
   const bool preprocessed = scheme_is_preprocessed(scheme_);
   const std::uint8_t* src = preprocessed ? log_segment_.data()
@@ -405,28 +445,37 @@ void GpuEncoder::run_table_based(coding::CodedBatch& batch) {
   std::uint8_t* out = batch.payloads_data();
   const bool shifted = scheme_uses_shifted_log(scheme_);
   const std::uint8_t sentinel = shifted ? 0x00 : gf256::kLogZero;
+  const EncodeBuffers buffers{
+      .src = src,
+      .coeffs = coeffs,
+      .src_addr = reinterpret_cast<std::uintptr_t>(src),
+      .coeff_addr = reinterpret_cast<std::uintptr_t>(coeffs),
+      .out_addr = reinterpret_cast<std::uintptr_t>(out),
+      .exp_addr = reinterpret_cast<std::uintptr_t>(exp_table_bytes_.data())};
+
+  // The profiled lowering needs aligned runs (and, for kTable5, a
+  // lane-position-independent table interleave). Its profile is built
+  // here, before the launch, so the launch's blocks only ever read it.
+  const bool aligned =
+      aligned_runs(launcher_.spec(), g) &&
+      (scheme_ != EncodeScheme::kTable5 || g.half % kReplicatedTables == 0);
+  if (aligned && !table_profile_.built && simgpu::fast_path_enabled()) {
+    build_table_fast_profile(src);
+  }
+  const bool profiled = aligned && table_profile_.built;
 
   // The exp lookup's home names the kernel: texture for TB-4, shared
   // memory (replicated for TB-5) otherwise.
   set_launch_label(scheme_ == EncodeScheme::kTable4 ? "exp_tex" : "exp_smem");
   launcher_.launch(
       {.blocks = blocks, .threads_per_block = threads}, [&](BlockCtx& block) {
-        const std::size_t half = block.spec().half_warp;
-        if (block.fast_path() && half <= 16) {
+        if (block.fast_path() && g.half <= 16) {
           metrics::count("simgpu.fast.lowered_blocks");
-          // The profiled lowering needs half-warps that never straddle
-          // coded blocks (and, for kTable5, a lane-position-independent
-          // table interleave); anything else takes the generic walker.
-          if (words_per_block % half == 0 && threads % half == 0 &&
-              (scheme_ != EncodeScheme::kTable5 ||
-               half % kReplicatedTables == 0)) {
-            run_table_based_fast(block, batch, cost, total_words, threads,
-                                 blocks, src, coeffs, out, sentinel);
+          if (profiled) {
+            run_table_based_fast(block, batch, g, cost, src, coeffs, out,
+                                 sentinel);
           } else {
-            metrics::count("simgpu.fast.straddle_blocks");
-            run_table_based_fast_straddle(block, batch, cost, total_words,
-                                          threads, blocks, src, coeffs, out,
-                                          sentinel);
+            encode_block_walked(block, g, buffers, batch);
           }
           return;
         }
@@ -522,83 +571,6 @@ void GpuEncoder::run_table_based(coding::CodedBatch& batch) {
       });
 }
 
-// Walk the cooperative table-load step once into local accumulators. The
-// step's accounting is a pure function of the table addresses and the
-// thread count — identical for every block of every launch — so this runs
-// once per encoder and fast_load_tables bulk-charges the result.
-void GpuEncoder::build_table_load_profile(std::size_t threads) {
-  const simgpu::DeviceSpec& spec = launcher_.spec();
-  const std::size_t half = spec.half_warp;
-  const auto banks = static_cast<std::uint32_t>(spec.shared_banks);
-  const std::uint64_t seg_bytes = spec.coalesce_segment_bytes;
-  std::array<std::uintptr_t, 16> words_buf;
-  TableLoadProfile prof;
-  prof.threads = threads;
-  auto charge = [&](std::uintptr_t addr, std::size_t cnt) {
-    prof.transactions += simgpu::span_transactions(addr, cnt * 4, seg_bytes);
-    prof.instrs += cnt;
-    prof.load_bytes += cnt * 4;
-    prof.shared_accesses += cnt;
-    prof.shared_events += 1;
-    prof.shared_cycles +=
-        simgpu::shared_group_degree(words_buf.data(), cnt, banks);
-  };
-  if (scheme_ == EncodeScheme::kTable5) {
-    const std::size_t table_words = kExpTableEntries * kReplicatedTables;
-    for (std::size_t it = 0; it * threads < table_words; ++it) {
-      for (std::size_t l0 = 0;
-           l0 < threads && it * threads + l0 < table_words; l0 += half) {
-        const std::size_t w0 = it * threads + l0;
-        const std::size_t cnt = std::min(half, table_words - w0);
-        for (std::size_t l = 0; l < cnt; ++l) words_buf[l] = w0 + l;
-        charge(reinterpret_cast<std::uintptr_t>(exp_table_words_.data() +
-                                                w0 * 4),
-               cnt);
-      }
-    }
-  } else {
-    const std::size_t exp_words = kExpTableEntries / 4;
-    for (std::size_t l0 = 0; l0 < threads && l0 < exp_words; l0 += half) {
-      const std::size_t cnt = std::min(half, exp_words - l0);
-      for (std::size_t l = 0; l < cnt; ++l) {
-        words_buf[l] = kExpBytesOffset / 4 + l0 + l;
-      }
-      charge(reinterpret_cast<std::uintptr_t>(exp_table_bytes_.data() +
-                                              l0 * 4),
-             cnt);
-    }
-    if (scheme_ == EncodeScheme::kTable0) {
-      const std::size_t log_words = 256 / 4;
-      for (std::size_t l0 = 0; l0 < threads && l0 < log_words; l0 += half) {
-        const std::size_t cnt = std::min(half, log_words - l0);
-        for (std::size_t l = 0; l < cnt; ++l) {
-          words_buf[l] = kLogBytesOffset / 4 + l0 + l;
-        }
-        charge(reinterpret_cast<std::uintptr_t>(log_table_bytes_.data() +
-                                                l0 * 4),
-               cnt);
-      }
-    }
-  }
-  prof.built = true;
-  load_profile_ = prof;
-}
-
-// Cooperative table-load accounting shared by both table-based lowerings
-// (one barrier, like the interpreted load step).
-void GpuEncoder::fast_load_tables(BlockCtx& block, std::size_t threads) {
-  if (scheme_ == EncodeScheme::kTable4) return;  // texture-bound, no load
-  if (!load_profile_.built || load_profile_.threads != threads) {
-    build_table_load_profile(threads);
-  }
-  block.fast_global_bulk(load_profile_.transactions, load_profile_.instrs,
-                         load_profile_.load_bytes, 0);
-  block.fast_shared_bulk(load_profile_.shared_accesses,
-                         load_profile_.shared_events,
-                         load_profile_.shared_cycles);
-  block.fast_barriers(1);
-}
-
 // Evaluate the per-(group, row) access profile once for the encoder's
 // immutable accounting-domain segment. Degrees for the exp lookups are
 // evaluated at the four log_c residues mod 4: adding 4t to log_c shifts
@@ -690,34 +662,28 @@ void GpuEncoder::build_table_fast_profile(const std::uint8_t* src) {
   prof.built = true;
 }
 
-// Fast-path body for one aligned table-based block. Outputs come from SIMD
-// region multiplies over the natural-domain segment/coefficients (the
-// log-domain round trip is exact GF(2^8) arithmetic, so the bytes are
-// identical); accounting charges whole same-coded-block runs from the
-// cached profile — a handful of prefix-sum subtractions per (run, i) —
-// instead of re-walking every payload byte.
+// Fast-path body for one aligned table-based block. Outputs come from
+// region multiplies over the natural-domain segment/coefficients;
+// accounting charges whole same-coded-block runs from the cached profile —
+// a handful of prefix-sum subtractions per (run, i) — instead of
+// re-walking every payload byte.
 void GpuEncoder::run_table_based_fast(BlockCtx& block,
                                       coding::CodedBatch& batch,
+                                      const EncodeGeometry& g,
                                       const EncodeCost& cost,
-                                      std::size_t total_words,
-                                      std::size_t threads, std::size_t blocks,
                                       const std::uint8_t* src,
                                       const std::uint8_t* coeffs,
                                       std::uint8_t* out,
                                       std::uint8_t sentinel) {
   const coding::Params p = params();
-  const std::size_t words_per_block = p.k / 4;
-  const std::size_t half = block.spec().half_warp;
-  const std::size_t stride = blocks * threads;
-  const gf256::Ops& gops = gf256::ops();
-  const std::uint8_t* raw_src = segment_->data();
-  const std::uint8_t* raw_coeffs = batch.coefficients_data();
+  const std::size_t words_per_block = g.wpb;
+  const std::size_t total_words = g.total_words;
+  const std::size_t threads = g.threads;
+  const std::size_t half = g.half;
+  const std::size_t stride = g.blocks * threads;
   const bool tb0 = scheme_ == EncodeScheme::kTable0;
   const bool tb4 = scheme_ == EncodeScheme::kTable4;
   const std::uint8_t* log_table = tb0 ? log_table_bytes_.data() : nullptr;
-
-  fast_load_tables(block, threads);
-  if (!table_profile_.built) build_table_fast_profile(src);
   const TableFastProfile& prof = table_profile_;
   const std::size_t g1 = prof.groups + 1;
 
@@ -732,8 +698,10 @@ void GpuEncoder::run_table_based_fast(BlockCtx& block,
   for (std::size_t bb = block.block_index() * threads; bb < total_words;
        bb += stride) {
     // total_words and threads are half-warp multiples here, so every group
-    // is full and runs split only at coded-block boundaries.
+    // is full and runs split only at coded-block boundaries (aligned_runs).
     const std::size_t wend = bb + std::min(threads, total_words - bb);
+    encode_words(p, segment_->data(), batch.coefficients_data(), out, bb,
+                 wend);
     std::size_t w = bb;
     while (w < wend) {
       const std::size_t j = w / words_per_block;
@@ -742,14 +710,11 @@ void GpuEncoder::run_table_based_fast(BlockCtx& block,
       const std::size_t g0 = word0 / half;
       const std::uint64_t gc = run / half;
       const std::uint8_t* coeff_row = coeffs + j * p.n;
-      const std::uint8_t* raw_row = raw_coeffs + j * p.n;
-      std::uint8_t* dst = out + j * p.k + word0 * 4;
-      std::memset(dst, 0, run * 4);
-      // Every store group in the run shares one 64-byte phase (groups step
-      // by half * 4 = a whole number of segments when half >= 16).
+      // Every store group in the run shares one coalescing phase.
       tx += gc * simgpu::span_transactions(
-                     reinterpret_cast<std::uintptr_t>(dst), half * 4,
-                     seg_bytes);
+                     reinterpret_cast<std::uintptr_t>(out + j * p.k +
+                                                      word0 * 4),
+                     half * 4, seg_bytes);
       instrs += gc * half;
       store += run * 4;
       for (std::size_t i = 0; i < p.n; ++i) {
@@ -767,8 +732,6 @@ void GpuEncoder::run_table_based_fast(BlockCtx& block,
           scyc += gc;
           log_c = log_table[log_c];
         }
-        gops.mul_add_region(dst, raw_src + i * p.k + word0 * 4, raw_row[i],
-                            run * 4);
         if (log_c == sentinel) continue;
         alu += gc * half * 4 * byte_deci;
         if (tb0) {
@@ -789,10 +752,6 @@ void GpuEncoder::run_table_based_fast(BlockCtx& block,
       w += run;
     }
   }
-  block.fast_global_bulk(tx, instrs, load, store);
-  block.fast_shared_bulk(sacc, sev, scyc);
-  block.fast_alu_deciops(alu);
-  block.fast_barriers(1);
 
   // --- kTable4: the table is cache-resident (16 lines, distinct sets), so
   // once every table line is tagged no later fetch can miss. Replay the
@@ -810,7 +769,6 @@ void GpuEncoder::run_table_based_fast(BlockCtx& block,
     for (std::uintptr_t line = first_line; line <= last_line; ++line) {
       if (!cache.resident(line * line_bytes)) ++missing;
     }
-    std::uint64_t replayed = 0;
     for (std::size_t lane = 0; lane < threads && missing > 0; ++lane) {
       for (std::size_t w = block.block_index() * threads + lane;
            w < total_words && missing > 0; w += stride) {
@@ -827,243 +785,26 @@ void GpuEncoder::run_table_based_fast(BlockCtx& block,
             const std::uintptr_t addr = base + log_c + log_s;
             if (!cache.resident(addr)) --missing;
             block.fast_texture_fetch(addr);
-            ++replayed;
+            --fetches;
           }
         }
       }
-    }
-    block.fast_texture_bulk(fetches - replayed, 0);
-  }
-}
-
-// Generic fast-path body: half-warps may straddle coded blocks (the
-// recoder's aggregate geometry, partial tails), so addresses, sentinel
-// tests and region runs are evaluated per lane. Accounting still goes
-// through the bulk group calls — no interpreted lane stepping.
-void GpuEncoder::run_table_based_fast_straddle(
-    BlockCtx& block, coding::CodedBatch& batch, const EncodeCost& cost,
-    std::size_t total_words, std::size_t threads, std::size_t blocks,
-    const std::uint8_t* src, const std::uint8_t* coeffs, std::uint8_t* out,
-    std::uint8_t sentinel) {
-  const coding::Params p = params();
-  const std::size_t words_per_block = p.k / 4;
-  const std::size_t half = block.spec().half_warp;
-  const std::size_t stride = blocks * threads;
-  const gf256::Ops& gops = gf256::ops();
-  const std::uint8_t* raw_src = segment_->data();
-  const std::uint8_t* raw_coeffs = batch.coefficients_data();
-  const bool tb0 = scheme_ == EncodeScheme::kTable0;
-  const bool tb4 = scheme_ == EncodeScheme::kTable4;
-  const bool tb5 = scheme_ == EncodeScheme::kTable5;
-  const std::uint8_t* log_table = tb0 ? log_table_bytes_.data() : nullptr;
-
-  fast_load_tables(block, threads);
-
-  const std::uint64_t word_deci =
-      simgpu::KernelMetrics::deciops(cost.per_word);
-  const std::uint64_t byte_deci =
-      simgpu::KernelMetrics::deciops(cost.per_byte);
-  std::array<std::uintptr_t, 16> addrs;
-  std::array<std::uintptr_t, 16> words;
-  std::array<std::uint8_t, 16> log_c;
-  std::array<std::size_t, 16> jv;
-  std::array<std::size_t, 16> wv;
-  std::uint64_t alu = 0;
-  std::uint64_t fetches = 0;
-
-  for (std::size_t bb = block.block_index() * threads; bb < total_words;
-       bb += stride) {
-    const std::size_t lanes_end = std::min(threads, total_words - bb);
-    for (std::size_t l0 = 0; l0 < lanes_end; l0 += half) {
-      const std::size_t cnt = std::min(half, lanes_end - l0);
-      for (std::size_t l = 0; l < cnt; ++l) {
-        const std::size_t w = bb + l0 + l;
-        jv[l] = w / words_per_block;
-        wv[l] = w % words_per_block;
-      }
-      // Zero the output words, one run per coded block touched.
-      for (std::size_t r0 = 0; r0 < cnt;) {
-        std::size_t r1 = r0 + 1;
-        while (r1 < cnt && jv[r1] == jv[r0]) ++r1;
-        std::memset(out + jv[r0] * p.k + wv[r0] * 4, 0, (r1 - r0) * 4);
-        r0 = r1;
-      }
-      for (std::size_t i = 0; i < p.n; ++i) {
-        for (std::size_t l = 0; l < cnt; ++l) {
-          addrs[l] =
-              reinterpret_cast<std::uintptr_t>(coeffs + jv[l] * p.n + i);
-          log_c[l] = coeffs[jv[l] * p.n + i];
-        }
-        block.fast_global_group(addrs.data(), cnt, 1, cnt, 0);
-        if (tb0) {
-          // Per-lane log lookup of the (possibly different) raw bytes.
-          for (std::size_t l = 0; l < cnt; ++l) {
-            words[l] = (kLogBytesOffset + log_c[l]) / 4;
-          }
-          block.fast_shared_group(words.data(), cnt);
-          for (std::size_t l = 0; l < cnt; ++l) log_c[l] = log_table[log_c[l]];
-        }
-        for (std::size_t l = 0; l < cnt; ++l) {
-          addrs[l] =
-              reinterpret_cast<std::uintptr_t>(src + i * p.k + wv[l] * 4);
-        }
-        block.fast_global_group(addrs.data(), cnt, 4, cnt * 4, 0);
-        alu += cnt * word_deci;
-        for (std::size_t r0 = 0; r0 < cnt;) {
-          std::size_t r1 = r0 + 1;
-          while (r1 < cnt && jv[r1] == jv[r0]) ++r1;
-          gops.mul_add_region(out + jv[r0] * p.k + wv[r0] * 4,
-                              raw_src + i * p.k + wv[r0] * 4,
-                              raw_coeffs[jv[r0] * p.n + i], (r1 - r0) * 4);
-          r0 = r1;
-        }
-        std::size_t c_active = 0;
-        for (std::size_t l = 0; l < cnt; ++l) {
-          if (log_c[l] != sentinel) ++c_active;
-        }
-        if (c_active == 0) continue;
-        for (int b = 0; b < 4; ++b) {
-          if (tb0) {
-            std::size_t k2 = 0;
-            for (std::size_t l = 0; l < cnt; ++l) {
-              if (log_c[l] == sentinel) continue;  // skip_access
-              words[k2++] =
-                  (kLogBytesOffset + src[i * p.k + wv[l] * 4 + b]) / 4;
-            }
-            block.fast_shared_group(words.data(), k2);
-          }
-          alu += c_active * byte_deci;
-          std::size_t k2 = 0;
-          for (std::size_t l = 0; l < cnt; ++l) {
-            if (log_c[l] == sentinel) continue;
-            std::uint8_t log_s = src[i * p.k + wv[l] * 4 + b];
-            if (tb0) log_s = log_table[log_s];
-            if (log_s == sentinel) continue;  // skip_access
-            if (tb4) {
-              ++fetches;
-              continue;  // replayed below
-            }
-            const std::size_t idx =
-                static_cast<std::size_t>(log_c[l]) + log_s;
-            words[k2++] = tb5 ? tb5_word_index(idx, l0 + l)
-                              : (kExpBytesOffset + idx) / 4;
-          }
-          if (k2 > 0) block.fast_shared_group(words.data(), k2);
-        }
-      }
-      for (std::size_t l = 0; l < cnt; ++l) {
-        addrs[l] =
-            reinterpret_cast<std::uintptr_t>(out + jv[l] * p.k + wv[l] * 4);
-      }
-      block.fast_global_group(addrs.data(), cnt, 4, 0, cnt * 4);
     }
   }
-  block.fast_barriers(1);
-  block.fast_alu_deciops(alu);
 
-  // kTable4: residency-window replay, as in the aligned lowering.
-  if (tb4) {
-    simgpu::TextureCache& cache = block.texture_cache();
-    const auto base =
-        reinterpret_cast<std::uintptr_t>(exp_table_bytes_.data());
-    const std::size_t line_bytes = cache.line_bytes();
-    const std::uintptr_t first_line = base / line_bytes;
-    const std::uintptr_t last_line =
-        (base + kExpTableEntries - 1) / line_bytes;
-    std::size_t missing = 0;
-    for (std::uintptr_t line = first_line; line <= last_line; ++line) {
-      if (!cache.resident(line * line_bytes)) ++missing;
-    }
-    std::uint64_t replayed = 0;
-    for (std::size_t lane = 0; lane < threads && missing > 0; ++lane) {
-      for (std::size_t w = block.block_index() * threads + lane;
-           w < total_words && missing > 0; w += stride) {
-        const std::size_t j = w / words_per_block;
-        const std::size_t word = w % words_per_block;
-        const std::uint8_t* coeff_row = coeffs + j * p.n;
-        for (std::size_t i = 0; i < p.n && missing > 0; ++i) {
-          const std::uint8_t c = coeff_row[i];
-          if (c == sentinel) continue;
-          const std::uint8_t* s = src + i * p.k + word * 4;
-          for (int b = 0; b < 4 && missing > 0; ++b) {
-            const std::uint8_t log_s = s[b];
-            if (log_s == sentinel) continue;
-            const std::uintptr_t addr = base + c + log_s;
-            if (!cache.resident(addr)) --missing;
-            block.fast_texture_fetch(addr);
-            ++replayed;
-          }
-        }
-      }
-    }
-    block.fast_texture_bulk(fetches - replayed, 0);
-  }
-}
-
-// Generic loop-based lowering for geometries the aligned branch cannot
-// take: per-lane groups, per-lane loop-iteration costs, region runs split
-// at coded-block boundaries.
-void GpuEncoder::run_loop_based_fast_straddle(
-    BlockCtx& block, const EncodeCost& cost, std::size_t total_words,
-    std::size_t threads, const std::uint8_t* coeffs, std::uint8_t* out) {
-  const coding::Params p = params();
-  const std::size_t words_per_block = p.k / 4;
-  const std::size_t half = block.spec().half_warp;
-  const gf256::Ops& gops = gf256::ops();
-  const std::uint8_t* src = segment_->data();
-  const std::uint64_t word_deci =
-      simgpu::KernelMetrics::deciops(cost.per_word);
-  std::array<std::uintptr_t, 16> addrs;
-  std::array<std::size_t, 16> jv;
-  std::array<std::size_t, 16> wv;
-  std::uint64_t alu = 0;
-
-  const std::size_t begin = block.block_index() * threads;
-  const std::size_t end = std::min(begin + threads, total_words);
-  for (std::size_t l0 = begin; l0 < end; l0 += half) {
-    const std::size_t cnt = std::min(half, end - l0);
-    for (std::size_t l = 0; l < cnt; ++l) {
-      jv[l] = (l0 + l) / words_per_block;
-      wv[l] = (l0 + l) % words_per_block;
-    }
-    for (std::size_t r0 = 0; r0 < cnt;) {
-      std::size_t r1 = r0 + 1;
-      while (r1 < cnt && jv[r1] == jv[r0]) ++r1;
-      std::memset(out + jv[r0] * p.k + wv[r0] * 4, 0, (r1 - r0) * 4);
-      r0 = r1;
-    }
-    for (std::size_t i = 0; i < p.n; ++i) {
-      for (std::size_t l = 0; l < cnt; ++l) {
-        addrs[l] =
-            reinterpret_cast<std::uintptr_t>(coeffs + jv[l] * p.n + i);
-        alu += simgpu::KernelMetrics::deciops(
-            cost.per_iteration *
-            gf256::loop_iterations(coeffs[jv[l] * p.n + i]));
-      }
-      block.fast_global_group(addrs.data(), cnt, 1, cnt, 0);
-      for (std::size_t l = 0; l < cnt; ++l) {
-        addrs[l] =
-            reinterpret_cast<std::uintptr_t>(src + i * p.k + wv[l] * 4);
-      }
-      block.fast_global_group(addrs.data(), cnt, 4, cnt * 4, 0);
-      for (std::size_t r0 = 0; r0 < cnt;) {
-        std::size_t r1 = r0 + 1;
-        while (r1 < cnt && jv[r1] == jv[r0]) ++r1;
-        gops.mul_add_region(out + jv[r0] * p.k + wv[r0] * 4,
-                            src + i * p.k + wv[r0] * 4,
-                            coeffs[jv[r0] * p.n + i], (r1 - r0) * 4);
-        r0 = r1;
-      }
-    }
-    alu += cnt * word_deci;
-    for (std::size_t l = 0; l < cnt; ++l) {
-      addrs[l] =
-          reinterpret_cast<std::uintptr_t>(out + jv[l] * p.k + wv[l] * 4);
-    }
-    block.fast_global_group(addrs.data(), cnt, 4, 0, cnt * 4);
-  }
-  block.fast_barriers(1);
-  block.fast_alu_deciops(alu);
+  simgpu::KernelMetrics counters;
+  counters.global_transactions = tx;
+  counters.global_load_bytes = load;
+  counters.global_store_bytes = store;
+  counters.shared_accesses = sacc;
+  counters.shared_access_events = sev;
+  counters.shared_serialized_cycles = scyc;
+  counters.texture_fetches = fetches;  // the rest: all hits
+  // One issue slot per memory instruction, 10 deci-ops each.
+  counters.alu_deciops = alu + 10 * (instrs + sacc + fetches);
+  counters.barriers = 1;
+  block.charge(table_load_counters_);
+  block.charge(counters);
 }
 
 }  // namespace extnc::gpu

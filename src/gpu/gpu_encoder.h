@@ -23,6 +23,7 @@
 #include "coding/batch.h"
 #include "coding/segment.h"
 #include "gpu/encode_scheme.h"
+#include "gpu/kernel_audit.h"
 #include "gpu/kernel_cost.h"
 #include "simgpu/executor.h"
 #include "util/aligned_buffer.h"
@@ -107,59 +108,33 @@ class GpuEncoder {
     std::vector<std::uint32_t> active;        // kTable4 texture fetches
   };
 
-  // Bulk accounting for the cooperative shared-table load step, which is
-  // identical for every block of every launch (table addresses and the
-  // thread count never change): walked once, then charged with three bulk
-  // calls per block. kTable5's 4096-word interleaved load is the reason —
-  // re-walking it per block would dominate the fast-path encode.
-  struct TableLoadProfile {
-    bool built = false;
-    std::size_t threads = 0;
-    std::uint64_t transactions = 0;
-    std::uint64_t instrs = 0;
-    std::uint64_t load_bytes = 0;
-    std::uint64_t shared_accesses = 0;
-    std::uint64_t shared_events = 0;
-    std::uint64_t shared_cycles = 0;
-  };
-
   void preprocess_segment();
   void preprocess_coefficients(const coding::CodedBatch& batch);
+  // The Sec. 5.1.1 log-domain transform kernel over `elements` elements of
+  // `element_bytes` bytes (4 for the segment, 1 for coefficients).
+  void run_log_transform(const char* kernel, const std::uint8_t* src,
+                         std::uint8_t* dst, std::size_t elements,
+                         std::size_t element_bytes);
   void run_loop_based(coding::CodedBatch& batch);
   void run_table_based(coding::CodedBatch& batch);
-  // Bulk lowering of the table-based kernel body for one block (taken when
-  // BlockCtx::fast_path() holds and the geometry preconditions are met):
-  // SIMD region math over the natural-domain buffers plus group accounting
-  // that is bit-identical to the interpreted lane stepping. `src`/`coeffs`
-  // are the accounting-domain pointers (log domain for preprocessed
-  // schemes); kTable4 replays its exp fetches lane-major through the
-  // texture-cache model only until every table line is resident, then
-  // charges the rest in closed form (fast_texture_bulk).
+  // Fast form of one aligned table-based block (BlockCtx::fast_path() and
+  // no half-warp straddles a coded block): region math over the
+  // natural-domain buffers plus counters from the table-load segment and
+  // the cached profile. `src`/`coeffs` are the accounting-domain pointers
+  // (log domain for preprocessed schemes); kTable4 replays its exp
+  // fetches lane-major through the texture-cache model only until every
+  // table line is resident, then charges the rest as hits.
   void run_table_based_fast(simgpu::BlockCtx& block, coding::CodedBatch& batch,
-                            const EncodeCost& cost, std::size_t total_words,
-                            std::size_t threads, std::size_t blocks,
+                            const EncodeGeometry& g, const EncodeCost& cost,
                             const std::uint8_t* src,
                             const std::uint8_t* coeffs, std::uint8_t* out,
                             std::uint8_t sentinel);
-  // Generic lowering for geometries where half-warps straddle coded blocks
-  // (words_per_block not a half-warp multiple — the recoder's aggregate
-  // pseudo-segment, odd tails): per-lane group accounting, region math
-  // split into same-j runs. No profile; still no interpreted lane stepping.
-  void run_table_based_fast_straddle(
-      simgpu::BlockCtx& block, coding::CodedBatch& batch,
-      const EncodeCost& cost, std::size_t total_words, std::size_t threads,
-      std::size_t blocks, const std::uint8_t* src, const std::uint8_t* coeffs,
-      std::uint8_t* out, std::uint8_t sentinel);
-  void run_loop_based_fast_straddle(simgpu::BlockCtx& block,
-                                    const EncodeCost& cost,
-                                    std::size_t total_words,
-                                    std::size_t threads,
-                                    const std::uint8_t* coeffs,
-                                    std::uint8_t* out);
-  // Cooperative shared-table load accounting shared by both table-based
-  // lowerings (one barrier, like the interpreted load step).
-  void fast_load_tables(simgpu::BlockCtx& block, std::size_t threads);
-  void build_table_load_profile(std::size_t threads);
+  // Fast form of any other encode block, every scheme: region math plus the
+  // counters of the shared encode walker (gpu/kernel_audit.h) for this
+  // block.
+  void encode_block_walked(simgpu::BlockCtx& block, const EncodeGeometry& g,
+                           const EncodeBuffers& buffers,
+                           coding::CodedBatch& batch);
   void build_table_fast_profile(const std::uint8_t* src);
   void set_launch_label(const char* kernel);
   void unwatch_all();
@@ -179,10 +154,14 @@ class GpuEncoder {
   AlignedBuffer log_table_bytes_;  // 256-entry log (kTable0 only)
   AlignedBuffer exp_table_words_;  // 8 interleaved word tables (kTable5)
 
-  // Lazily built at the first aligned fast-path encode; valid for the
-  // encoder's lifetime (the accounting-domain segment never changes).
+  // Fast-path accounting state, written only on the host thread before a
+  // launch and read-only while its blocks run. The table-load counters are
+  // one block's cooperative table load (table_load_segment; zero for the
+  // loop kernel and tb4), fixed at construction. The profile is built at
+  // the first aligned fast-path encode and stays valid for the encoder's
+  // lifetime (the accounting-domain segment never changes).
+  simgpu::KernelMetrics table_load_counters_;
   TableFastProfile table_profile_;
-  TableLoadProfile load_profile_;
 };
 
 }  // namespace extnc::gpu

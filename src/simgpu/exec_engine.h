@@ -49,10 +49,11 @@ void set_default_engine(ExecEngine engine);
 // lazily on first use; sized from EXTNC_SIMGPU_THREADS.
 ThreadPool& engine_pool();
 
-// Process-wide toggle for the zero-instrumentation fast path: kernels that
-// ship a bulk lowering (src/gpu) execute whole half-warps through the host
-// SIMD GF(2^8) region ops with bulk accounting instead of interpreting
-// lane-at-a-time, whenever the launch runs unchecked (no sanitizer). The
+// Process-wide toggle for the zero-instrumentation fast path: the kernels
+// in src/gpu compute their outputs through the host SIMD GF(2^8) region
+// ops and charge their access walker's counters (gpu/kernel_audit.h)
+// instead of interpreting lane-at-a-time, whenever the launch runs
+// unchecked (no sanitizer). The
 // fast path is bit-identical to the interpreted engines — outputs, every
 // KernelMetrics field, modeled clocks, traces — so it defaults to ON; it
 // exists as a toggle so equivalence tests and overhead measurements can

@@ -172,48 +172,9 @@ void ThreadCtx::count_alu(double ops) {
 // ---------------------------------------------------------------- BlockCtx
 
 // The serialization-degree rule lives in static_model.{h,cpp}
-// (simgpu::shared_group_degree): the interpreted flush, the fast-path bulk
-// groups and the static kernel models all call the one definition, so the
-// three accounting paths can never disagree.
-
-void BlockCtx::fast_global_group(const std::uintptr_t* addrs,
-                                 std::size_t count, std::size_t access_bytes,
-                                 std::uint64_t load_bytes,
-                                 std::uint64_t store_bytes) {
-  const std::uint64_t seg_bytes = spec_->coalesce_segment_bytes;
-  std::array<std::uint64_t, 2 * kGroupLanes> segments;
-  std::uint32_t live = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::uint64_t first = addrs[i] / seg_bytes;
-    const std::uint64_t last = (addrs[i] + access_bytes - 1) / seg_bytes;
-    for (std::uint64_t seg = first; seg <= last; ++seg) {
-      bool seen = false;
-      for (std::uint32_t j = 0; j < live; ++j) {
-        if (segments[j] == seg) {
-          seen = true;
-          break;
-        }
-      }
-      if (!seen) {
-        EXTNC_DASSERT(live < segments.size());
-        segments[live++] = seg;
-      }
-    }
-  }
-  metrics_->global_transactions += live;
-  metrics_->global_load_bytes += load_bytes;
-  metrics_->global_store_bytes += store_bytes;
-  metrics_->alu_deciops += static_cast<std::uint64_t>(count) * 10;
-}
-
-void BlockCtx::fast_shared_group(const std::uintptr_t* words,
-                                 std::size_t count) {
-  metrics_->shared_accesses += count;
-  metrics_->shared_access_events += 1;
-  metrics_->shared_serialized_cycles += shared_group_degree(
-      words, count, static_cast<std::uint32_t>(spec_->shared_banks));
-  metrics_->alu_deciops += static_cast<std::uint64_t>(count) * 10;
-}
+// (simgpu::shared_group_degree): the interpreted flush and the access
+// walkers behind the fast path and the static kernel models all call the
+// one definition, so the accounting paths can never disagree.
 
 void BlockCtx::step(const std::function<void(ThreadCtx&)>& fn) {
   step_partial(config_.threads_per_block, fn);
@@ -380,7 +341,7 @@ void Launcher::run_blocks(const LaunchConfig& config,
   ctx.spec_ = spec_;
   ctx.config_ = config;
   ctx.shared_ = &shared;
-  // Bulk lowerings are only offered to unchecked launches: the sanitizer
+  // Fast forms are only offered to unchecked launches: the sanitizer
   // needs to see every individual access, so a resolved checker forces the
   // interpreted path (this is also what keeps the checker-gate CI job
   // honest without any extra plumbing).

@@ -28,6 +28,14 @@
 // same access sequence, which holds for all kernels in this library
 // (divergent kernels would see slightly misattributed grouping, never
 // wrong functional results).
+//
+// Every kernel in this library exists in two forms: the interpreted body
+// written against BlockCtx/ThreadCtx (the reference, and what the Checker
+// instruments), and one access walker (gpu/kernel_audit.h) that charges a
+// SegmentBuilder with the same rules in closed form. The static audit runs
+// the walker on synthesized inputs; unchecked launches with the fast path
+// enabled run it on the block's real bytes and hand the result to
+// BlockCtx::charge.
 #pragma once
 
 #include <array>
@@ -118,9 +126,9 @@ class TextureCache {
 
   // Returns true on hit; records the line on miss.
   bool access(std::uintptr_t address);
-  // Non-mutating residency probe: would `access` hit right now? Used by
-  // closed-form texture accounting (static models / fast-path lowerings)
-  // to seed a residency window without perturbing the cache.
+  // Non-mutating residency probe: would `access` hit right now? Lets the
+  // aligned tb4 fast path stop replaying fetches once every table line is
+  // resident, without perturbing the cache.
   bool resident(std::uintptr_t address) const;
   void invalidate();
 
@@ -200,81 +208,25 @@ class BlockCtx {
 
   // --- zero-instrumentation fast path -----------------------------------
   // True when this launch runs unchecked (no sanitizer resolved) and the
-  // process-wide fast path is enabled (exec_engine.h). A kernel that ships
-  // a bulk lowering branches on this flag: instead of stepping lanes
-  // through ThreadCtx it computes whole half-warps via the host SIMD
-  // GF(2^8) region ops and charges the bulk accounting below. A lowering
-  // MUST charge exactly what the interpreted path would — the equivalence
-  // suites hold it to bit-identity on outputs and every KernelMetrics
-  // field. Lowerings with shape preconditions (lane alignment, word
-  // counts) fall back to the interpreted step()s when they do not hold.
+  // process-wide fast path is enabled (exec_engine.h). A kernel with a fast
+  // form branches on this flag: instead of stepping lanes through ThreadCtx
+  // it computes its outputs with the host SIMD GF(2^8) region ops and
+  // charges the counters of its access walker (gpu/kernel_audit.h), which
+  // builds them with the same simgpu::SegmentBuilder rules the executor
+  // applies lane by lane. The charge MUST equal what the interpreted path
+  // would accrue — the equivalence suites hold it to bit-identity on
+  // outputs and every KernelMetrics field. Kernels whose fast form has
+  // shape preconditions fall back to the interpreted step()s when they do
+  // not hold.
   bool fast_path() const { return fast_; }
 
-  // One barrier per (would-be) step/step_partial.
-  void fast_barriers(std::uint64_t count) { metrics_->barriers += count; }
-
-  // Scalar work, pre-quantized: mirror each conceptual count_alu(x) charge
-  // as KernelMetrics::deciops(x) multiplied by the number of lanes/calls
-  // that would have made it (quantize per call, then multiply — never
-  // quantize the product).
-  void fast_alu_deciops(std::uint64_t deci) { metrics_->alu_deciops += deci; }
-
-  // One half-warp global access step whose lanes touch exactly the byte
-  // range [addr, addr + span_bytes) — a contiguous sweep or a broadcast
-  // (span_bytes = access size). Charges `instrs` memory instructions (one
-  // per participating lane; they occupy issue slots exactly like the
-  // interpreted pending_mem_instrs_ fold) and the given demand bytes;
-  // transactions = distinct 64-byte segments the span overlaps, which for
-  // a contiguous/broadcast group equals the interpreted per-lane dedup.
-  // Strided groups must instead account each contiguous run separately.
-  void fast_global_span(std::uintptr_t addr, std::size_t span_bytes,
-                        std::uint64_t instrs, std::uint64_t load_bytes,
-                        std::uint64_t store_bytes) {
-    const std::uint64_t seg = spec_->coalesce_segment_bytes;
-    metrics_->global_transactions +=
-        (addr % seg + span_bytes + seg - 1) / seg;
-    metrics_->global_load_bytes += load_bytes;
-    metrics_->global_store_bytes += store_bytes;
-    metrics_->alu_deciops += instrs * 10;
-  }
-
-  // One half-warp global access step at arbitrary per-lane addresses, each
-  // access `access_bytes` wide: transactions = distinct 64-byte segments
-  // across the group, deduplicated exactly like record_global. Use this
-  // for strided/scattered groups; fast_global_span is the cheap closed
-  // form for contiguous or broadcast ones.
-  void fast_global_group(const std::uintptr_t* addrs, std::size_t count,
-                         std::size_t access_bytes, std::uint64_t load_bytes,
-                         std::uint64_t store_bytes);
-
-  // One half-warp shared access step at the given 32-bit word indices
-  // (offset / 4, one entry per participating lane). Serialization degree
-  // uses the same distinct-words-per-bank rule as flush_half_warp.
-  void fast_shared_group(const std::uintptr_t* words, std::size_t count);
-
-  // Closed-form bulk accounting for profiled shared access steps: `events`
-  // groups totalling `accesses` lane accesses and `cycles` serialized
-  // cycles, with the degrees pre-evaluated per group class (the table-
-  // scheme conflict profiles, gpu/kernel_audit.h derivation). Each access
-  // is one memory instruction, as in fast_shared_group.
-  void fast_shared_bulk(std::uint64_t accesses, std::uint64_t events,
-                        std::uint64_t cycles) {
-    metrics_->shared_accesses += accesses;
-    metrics_->shared_access_events += events;
-    metrics_->shared_serialized_cycles += cycles;
-    metrics_->alu_deciops += accesses * 10;
-  }
-
-  // Closed-form bulk accounting for profiled global access steps:
-  // `transactions` pre-deduplicated coalescing transactions across `instrs`
-  // memory instructions. Only valid when the caller evaluated the span /
-  // group dedup itself (cached per group class or via the static models).
-  void fast_global_bulk(std::uint64_t transactions, std::uint64_t instrs,
-                        std::uint64_t load_bytes, std::uint64_t store_bytes) {
-    metrics_->global_transactions += transactions;
-    metrics_->global_load_bytes += load_bytes;
-    metrics_->global_store_bytes += store_bytes;
-    metrics_->alu_deciops += instrs * 10;
+  // Add one segment's counters (SegmentModel::counters, or any counter-only
+  // KernelMetrics) to this block: ALU, global, shared, texture, atomic and
+  // barrier counts. Launch geometry and the launch count belong to the
+  // launcher, so `counters` must carry none.
+  void charge(const KernelMetrics& counters) {
+    EXTNC_DASSERT(counters.kernel_launches == 0);
+    metrics_->merge(counters);
   }
 
   // One texture fetch; evolves the per-TPC cache state exactly like
@@ -283,17 +235,6 @@ class BlockCtx {
     metrics_->texture_fetches += 1;
     metrics_->alu_deciops += 10;
     if (!texture_->access(addr)) metrics_->texture_misses += 1;
-  }
-
-  // Closed-form texture accounting: charge `fetches` fetch instructions
-  // and `misses` misses in bulk. Only valid when the miss count is
-  // order-independent (a kResident table, see static_model.h); the caller
-  // must then evolve texture_cache() to the exact post-step tag state by
-  // access()ing each newly-resident line once.
-  void fast_texture_bulk(std::uint64_t fetches, std::uint64_t misses) {
-    metrics_->texture_fetches += fetches;
-    metrics_->texture_misses += misses;
-    metrics_->alu_deciops += fetches * 10;
   }
   // This block's texture-cache unit (stateful across launches).
   TextureCache& texture_cache() { return *texture_; }
@@ -319,7 +260,7 @@ class BlockCtx {
   // Set by Launcher::run_blocks: unchecked launch and fast path enabled.
   bool fast_ = false;
 
-  // Half-warp aggregation state (fast path): groups are flat vectors
+  // Half-warp aggregation state (interpreted steps): groups are flat vectors
   // indexed by the per-thread access sequence number — the grouping key —
   // with a first-touch list so a flush only visits live groups. The
   // vectors are reused across half-warps, steps and blocks; only their

@@ -125,7 +125,7 @@ void SegmentBuilder::add_shared_group_degree(std::uint64_t degree,
   model_.counters.shared_access_events += times;
   model_.counters.shared_serialized_cycles += degree * times;
   // One memory instruction per participating lane, 10 deci-ops each
-  // (fast_shared_group / the interpreted pending_mem_instrs_ fold).
+  // (the interpreted pending_mem_instrs_ fold).
   model_.counters.alu_deciops +=
       static_cast<std::uint64_t>(count) * 10 * times;
   model_.degree_events[degree] += times;

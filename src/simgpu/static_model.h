@@ -15,9 +15,10 @@
 //    counts, texture locality, exact footprints, barrier structure) whose
 //    totals are asserted bit-equal to the interpreted engine's
 //    KernelMetrics by the verification tests;
-//  * `SegmentBuilder`: the accumulation helper the per-kernel model
-//    providers (gpu/kernel_audit.h) use to mirror a kernel's access
-//    structure over its index space.
+//  * `SegmentBuilder`: the accumulation helper the per-kernel access
+//    walkers (gpu/kernel_audit.h) charge while mirroring a kernel's
+//    access structure over its index space — for the static models and,
+//    via BlockCtx::charge, for the fast path.
 //
 // The audit path (gpu/kernel_audit.h, tools/extnc_audit) consumes these
 // models to validate geometry, OOB-freedom and barrier divergence before
@@ -40,8 +41,9 @@ namespace extnc::simgpu {
 // Serialized cycles for one half-warp shared access step: the worst bank
 // must serve one cycle per *distinct word* addressed in it (lanes reading
 // the same word are satisfied by one broadcast); minimum degree 1. This is
-// THE rule — flush_half_warp, the fast-path bulk groups and every static
-// model call it, so the three can never disagree.
+// THE rule — flush_half_warp and every access walker call it, so the
+// interpreted accounting, the fast path and the static models can never
+// disagree.
 std::uint64_t shared_group_degree(const std::uintptr_t* words,
                                   std::size_t count, std::uint32_t banks);
 

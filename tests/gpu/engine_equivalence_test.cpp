@@ -8,7 +8,9 @@
 // set_fast_path_enabled.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -289,8 +291,8 @@ TEST(EngineEquivalence, Recoder) {
 }
 
 // Unaligned geometries: words-per-block is not a half-warp multiple and
-// the batch leaves a ragged tail block, so the straddle lowerings (rather
-// than the aligned profile path) carry the fast-path accounting for every
+// the batch leaves a ragged tail block, so the shared access walker (rather
+// than the aligned profile path) carries the fast-path accounting for every
 // scheme.
 TEST(EngineEquivalence, EncoderUnalignedGeometries) {
   constexpr EncodeScheme kAllSchemes[] = {
@@ -307,13 +309,87 @@ TEST(EngineEquivalence, EncoderUnalignedGeometries) {
           Rng rng(606);
           GpuEncoder encoder(simgpu::gtx280(), segment, scheme);
           RunResult result;
+          // Two batches: the second launch meets the state the first left
+          // behind (tb4's warm texture caches) on the walker path.
           result.batches.push_back(encoder.encode_batch(7, rng));
+          result.batches.push_back(encoder.encode_batch(5, rng));
           result.metrics = encoder.encode_metrics();
           result.metrics2 = encoder.preprocess_metrics();
           result.elapsed_s = encoder.launcher().elapsed_seconds();
           return result;
         },
         std::string("unaligned-encoder/") + scheme_name(scheme));
+  }
+}
+
+// Set one environment variable for a scope; restores on exit.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) saved_ = old;
+    ::setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (saved_.has_value()) {
+      ::setenv(name_, saved_->c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+
+ private:
+  const char* name_;
+  std::optional<std::string> saved_;
+};
+
+// Race regression: the fast path's per-encoder accounting state must be
+// complete before a launch's blocks reach the worker pool. Every round uses
+// a fresh encoder, so its first launch is the one that would build any
+// lazily-built state from several pool threads at once; each round must
+// still reproduce the interpreted serial run bit for bit.
+TEST(EngineEquivalence, TableSchemesFastParallelFreshEncoders) {
+  // Sizes the worker pool when this process creates it (as ctest's
+  // one-test-per-process runs do).
+  ScopedEnv threads("EXTNC_SIMGPU_THREADS", "4");
+  if (simgpu::engine_pool().num_threads() < 2) {
+    GTEST_SKIP() << "worker pool already created with one thread";
+  }
+  constexpr EncodeScheme kTableSchemes[] = {
+      EncodeScheme::kTable0, EncodeScheme::kTable1, EncodeScheme::kTable2,
+      EncodeScheme::kTable3, EncodeScheme::kTable4, EncodeScheme::kTable5,
+  };
+  Rng seed_rng(20);
+  const Params params{.n = 16, .k = 1024};  // 32 blocks fill all 30 SMs
+  const Segment segment = Segment::random(params, seed_rng);
+  auto run = [&](EncodeScheme scheme) {
+    Rng rng(707);
+    GpuEncoder encoder(simgpu::gtx280(), segment, scheme);
+    RunResult result;
+    result.batches.push_back(encoder.encode_batch(32, rng));
+    result.metrics = encoder.encode_metrics();
+    result.metrics2 = encoder.preprocess_metrics();
+    result.elapsed_s = encoder.launcher().elapsed_seconds();
+    return result;
+  };
+  for (EncodeScheme scheme : kTableSchemes) {
+    RunResult interpreted;
+    {
+      ScopedFastPath slow(false);
+      ScopedEngine pin(ExecEngine::kSerial);
+      interpreted = run(scheme);
+    }
+    ScopedFastPath fast(true);
+    ScopedEngine pin(ExecEngine::kParallel);
+    metrics::Registry::instance().reset();
+    for (int round = 0; round < 20; ++round) {
+      expect_runs_identical(interpreted, run(scheme),
+                            std::string("fresh-encoder/") +
+                                scheme_name(scheme) + " round " +
+                                std::to_string(round));
+    }
+    EXPECT_GT(metrics::Registry::instance().value("simgpu.launch.parallel"),
+              0.0)
+        << scheme_name(scheme);
   }
 }
 
@@ -405,7 +481,7 @@ TEST(EngineEquivalence, FastPathLoweringsEngage) {
             encoder_lowered);
 
   // The recoder's aggregate pseudo-segment (n + k bytes per row) is not a
-  // half-warp multiple here, so it must land on the straddle lowering
+  // half-warp multiple here, so it must land on the walker path
   // specifically, not fall back to interpreted stepping.
   metrics::Registry::instance().reset();
   {

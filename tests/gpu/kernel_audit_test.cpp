@@ -10,10 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "coding/batch.h"
 #include "coding/segment.h"
+#include "gf256/matrix.h"
 #include "gpu/gpu_encoder.h"
 #include "gpu/gpu_multiseg_decoder.h"
 #include "simgpu/exec_engine.h"
@@ -189,30 +191,45 @@ TEST(KernelAuditModel, PreprocessKernels) {
       *coeff_launch, "preprocess_coeffs");
 }
 
+// A random invertible matrix whose leading entries are zeroed where that
+// keeps it invertible, so the elimination has to swap rows (the Vandermonde
+// matrix never does: its leading column has no zero).
+std::vector<std::uint8_t> pivoting_invertible_matrix(std::size_t n,
+                                                     std::uint64_t seed) {
+  Rng rng(seed);
+  while (true) {
+    gf256::Matrix m = gf256::Matrix::random_dense(n, n, rng);
+    for (std::size_t r = 0; r < n; r += 3) m.set(r, r, 0);
+    if (m.rank() == n) return {m.data(), m.data() + n * n};
+  }
+}
+
 TEST(KernelAuditModel, MultiSegmentInverter) {
   ScopedInterpreted pin;
   const Params params{.n = 16, .k = 128};
-  const std::vector<std::uint8_t> matrix =
-      synthesize_invertible_matrix(params.n);
-  // Three batches holding the same Vandermonde coefficient matrix; the
-  // payload bytes are irrelevant to stage 1 (pure coefficient work).
-  std::vector<CodedBatch> batches;
-  for (int s = 0; s < 3; ++s) {
-    CodedBatch batch(params, params.n);
-    for (std::size_t r = 0; r < params.n; ++r) {
-      std::copy(matrix.begin() + r * params.n,
-                matrix.begin() + (r + 1) * params.n,
-                batch.coefficients(r).begin());
-      std::fill(batch.payload(r).begin(), batch.payload(r).end(),
-                static_cast<std::uint8_t>(r + 1));
+  for (const auto& [label, matrix] :
+       {std::pair{"vandermonde", synthesize_invertible_matrix(params.n)},
+        std::pair{"pivoting", pivoting_invertible_matrix(params.n, 31)}}) {
+    // Three batches holding the same coefficient matrix; the payload bytes
+    // are irrelevant to stage 1 (pure coefficient work).
+    std::vector<CodedBatch> batches;
+    for (int s = 0; s < 3; ++s) {
+      CodedBatch batch(params, params.n);
+      for (std::size_t r = 0; r < params.n; ++r) {
+        std::copy(matrix.begin() + r * params.n,
+                  matrix.begin() + (r + 1) * params.n,
+                  batch.coefficients(r).begin());
+        std::fill(batch.payload(r).begin(), batch.payload(r).end(),
+                  static_cast<std::uint8_t>(r + 1));
+      }
+      batches.push_back(std::move(batch));
     }
-    batches.push_back(std::move(batch));
+    GpuMultiSegmentDecoder decoder(simgpu::gtx280(), params);
+    decoder.decode_all(batches);
+    expect_metrics_equal(
+        invert_kernel_model(simgpu::gtx280(), params, 3, matrix).totals(),
+        decoder.stage1_metrics(), std::string("invert/") + label);
   }
-  GpuMultiSegmentDecoder decoder(simgpu::gtx280(), params);
-  decoder.decode_all(batches);
-  expect_metrics_equal(
-      invert_kernel_model(simgpu::gtx280(), params, 3, matrix).totals(),
-      decoder.stage1_metrics(), "invert");
 }
 
 // The recode model is the encode model over the aggregate pseudo-segment
