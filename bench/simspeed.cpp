@@ -76,17 +76,27 @@ struct Measurement {
   double mb_per_s = 0;
 };
 
+// Timed runs continue past `repeats` until they add up to this floor. The
+// fast-path workloads take 0.4-8 ms a run, where the best of 2-3 runs
+// swung up to 2x between identical invocations. Host slowdowns last
+// longer than 50 ms (back-to-back 50 ms windows of tb4 gave 0.66 and
+// 0.99 ms), so the floor spans several of them.
+constexpr double kMinMeasureSeconds = 0.5;
+
+// Best run of at least `repeats` runs and at least kMinMeasureSeconds.
 Measurement measure(const Workload& workload, int repeats) {
   // One untimed warm-up run (first-touch allocation, texture-cache fill).
   (void)workload.run();
   double best_s = 0;
+  double total_s = 0;
   std::size_t bytes = 0;
-  for (int r = 0; r < repeats; ++r) {
+  for (int r = 0; r < repeats || total_s < kMinMeasureSeconds; ++r) {
     const auto start = std::chrono::steady_clock::now();
     bytes = workload.run();
     const std::chrono::duration<double> elapsed =
         std::chrono::steady_clock::now() - start;
     if (r == 0 || elapsed.count() < best_s) best_s = elapsed.count();
+    total_s += elapsed.count();
   }
   Measurement m;
   m.seconds = best_s;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <sstream>
 
 #include "gf256/gf.h"
 #include "gf256/region.h"
@@ -10,7 +9,6 @@
 #include "gpu/kernel_cost.h"
 #include "gpu/table_layout.h"
 #include "util/assert.h"
-#include "util/metrics_registry.h"
 
 namespace extnc::gpu {
 
@@ -356,15 +354,11 @@ void walk_encode_block(EncodeScheme scheme, const coding::Params& p,
   if (tb4) seg.add_texture_fetches(fetches, misses);
 }
 
-namespace {
-
-StaticKernelModel encode_model_impl(const simgpu::DeviceSpec& spec,
-                                    EncodeScheme scheme,
-                                    const coding::Params& p,
-                                    std::size_t count,
-                                    const ModelAssumptions& assume,
-                                    bool seed_oob_tail,
-                                    bool seed_lane_blocked_load) {
+StaticKernelModel encode_kernel_model(const simgpu::DeviceSpec& spec,
+                                      EncodeScheme scheme,
+                                      const coding::Params& p,
+                                      std::size_t count,
+                                      const ModelAssumptions& assume) {
   check_assumptions(assume);
   const EncodeGeometry g = encode_geometry(spec, scheme, p, count);
   const bool loop = scheme == EncodeScheme::kLoopBased;
@@ -386,8 +380,7 @@ StaticKernelModel encode_model_impl(const simgpu::DeviceSpec& spec,
   if (!loop && !tb4) {
     model.segments.push_back(table_load_segment(spec, scheme, g.threads,
                                                 g.blocks, 0, 0, &ext.exp,
-                                                &log_extent,
-                                                seed_lane_blocked_load));
+                                                &log_extent));
   }
 
   // The class's bytes as the kernel loads them, at 0-based addresses.
@@ -425,15 +418,6 @@ StaticKernelModel encode_model_impl(const simgpu::DeviceSpec& spec,
   for (std::size_t b = 0; b < g.blocks; ++b) {
     walk_encode_block(scheme, p, g, b, buffers,
                       tb4 ? &units[(b % sms) / unit_div] : nullptr, enc, &ext);
-    if (!seed_oob_tail) continue;
-    // Seeded OOB: the store step's tail guard dropped, so the last strided
-    // pass stores a full thread count, past the registered payload buffer.
-    for (std::size_t base = b * g.threads; base < g.total_words;
-         base += g.blocks * g.threads) {
-      for (std::size_t w = g.total_words; w < base + g.threads; ++w) {
-        ext.out.touch((w / g.wpb) * p.k + (w % g.wpb) * 4, 4);
-      }
-    }
   }
   model.segments.push_back(enc.finish(g.threads, g.blocks));
 
@@ -463,17 +447,6 @@ StaticKernelModel encode_model_impl(const simgpu::DeviceSpec& spec,
   return model;
 }
 
-}  // namespace
-
-StaticKernelModel encode_kernel_model(const simgpu::DeviceSpec& spec,
-                                      EncodeScheme scheme,
-                                      const coding::Params& params,
-                                      std::size_t count,
-                                      const ModelAssumptions& assume) {
-  return encode_model_impl(spec, scheme, params, count, assume, false,
-                           false);
-}
-
 StaticKernelModel recode_kernel_model(const simgpu::DeviceSpec& spec,
                                       EncodeScheme scheme,
                                       const coding::Params& params,
@@ -483,8 +456,7 @@ StaticKernelModel recode_kernel_model(const simgpu::DeviceSpec& spec,
   EXTNC_CHECK((params.n + params.k) % 4 == 0);
   const coding::Params aggregate{.n = received, .k = params.n + params.k};
   StaticKernelModel model =
-      encode_model_impl(spec, scheme, aggregate, produced, assume, false,
-                        false);
+      encode_kernel_model(spec, scheme, aggregate, produced, assume);
   model.kernel = std::string("recode/") + scheme_label(scheme) + "/" +
                  (scheme == EncodeScheme::kLoopBased ? "mul_loop"
                   : scheme == EncodeScheme::kTable4 ? "exp_tex"
@@ -774,186 +746,6 @@ StaticKernelModel invert_kernel_model(const simgpu::DeviceSpec& spec,
   model.footprint.push_back(
       {"invert_work", n * row_bytes, n * row_bytes, true});
   return model;
-}
-
-// ------------------------------------------------------------------------
-// Audit.
-
-const char* audit_kind_name(AuditKind kind) {
-  switch (kind) {
-    case AuditKind::kGeometry: return "geometry";
-    case AuditKind::kSharedFootprint: return "shared-footprint";
-    case AuditKind::kGlobalFootprint: return "global-footprint";
-    case AuditKind::kBarrierDivergence: return "barrier-divergence";
-    case AuditKind::kBankConflictLint: return "bank-conflict-lint";
-    case AuditKind::kUncoalescedLint: return "uncoalesced-lint";
-  }
-  return "?";
-}
-
-const char* audit_seed_bug_name(AuditSeedBug bug) {
-  switch (bug) {
-    case AuditSeedBug::kOobTail: return "oob-tail";
-    case AuditSeedBug::kDivergentBarrier: return "divergent-barrier";
-    case AuditSeedBug::kConflictRegression: return "conflict-regression";
-  }
-  return "?";
-}
-
-namespace {
-
-void audit_model(const simgpu::DeviceSpec& spec, const AuditOptions& options,
-                 const StaticKernelModel& model,
-                 const std::vector<std::size_t>& declared_partial,
-                 std::vector<AuditFinding>& findings) {
-  auto add = [&](AuditKind kind, bool advisory, std::string detail) {
-    findings.push_back(
-        {kind, advisory, model.kernel, std::move(detail)});
-  };
-  std::ostringstream os;
-  if (model.blocks < 1 || model.threads_per_block < 1 ||
-      model.threads_per_block >
-          static_cast<std::size_t>(spec.max_threads_per_block)) {
-    os << model.blocks << " blocks x " << model.threads_per_block
-       << " threads vs max " << spec.max_threads_per_block;
-    add(AuditKind::kGeometry, false, os.str());
-  }
-  if (model.shared_bytes > spec.shared_mem_per_sm) {
-    os.str("");
-    os << model.shared_bytes << " shared bytes vs " << spec.shared_mem_per_sm
-       << " per SM";
-    add(AuditKind::kSharedFootprint, false, os.str());
-  }
-  for (const simgpu::FootprintRegion& region : model.footprint) {
-    if (region.bytes_needed > region.bytes_registered) {
-      os.str("");
-      os << region.name << (region.written ? " written" : " read") << " to "
-         << region.bytes_needed << " bytes, registered "
-         << region.bytes_registered;
-      add(AuditKind::kGlobalFootprint, false, os.str());
-    }
-  }
-  for (const SegmentModel& seg : model.segments) {
-    const bool full = seg.step_width == model.threads_per_block;
-    const bool declared =
-        std::find(declared_partial.begin(), declared_partial.end(),
-                  seg.step_width) != declared_partial.end();
-    if (!full && !declared) {
-      os.str("");
-      os << "segment '" << seg.name << "' steps " << seg.step_width
-         << " lanes, declared shape allows full steps";
-      for (const std::size_t c : declared_partial) os << " or " << c;
-      add(AuditKind::kBarrierDivergence, false, os.str());
-    }
-    if (seg.max_conflict_degree() >= options.bank_conflict_threshold) {
-      os.str("");
-      os << "segment '" << seg.name << "' worst bank serialization degree "
-         << seg.max_conflict_degree();
-      add(AuditKind::kBankConflictLint, true, os.str());
-    }
-    if (seg.max_group_transactions >= options.uncoalesced_threshold) {
-      os.str("");
-      os << "segment '" << seg.name << "' worst half-warp spans "
-         << seg.max_group_transactions << " transactions";
-      add(AuditKind::kUncoalescedLint, true, os.str());
-    }
-  }
-}
-
-AuditReport finish_report(std::vector<AuditCase> cases) {
-  AuditReport report;
-  report.cases = std::move(cases);
-  for (const AuditCase& c : report.cases) {
-    metrics::count("simgpu.audit.cases");
-    for (const AuditFinding& f : c.findings) {
-      if (f.advisory) {
-        ++report.advisory_count;
-        metrics::count("simgpu.audit.advisories");
-      } else {
-        ++report.error_count;
-        metrics::count("simgpu.audit.errors");
-      }
-    }
-  }
-  return report;
-}
-
-std::vector<AuditCase> build_clean_cases(const simgpu::DeviceSpec& spec,
-                                         const AuditOptions& options) {
-  const coding::Params& p = options.params;
-  std::vector<AuditCase> cases;
-  auto push = [&](StaticKernelModel model,
-                  std::vector<std::size_t> declared = {}) {
-    AuditCase c;
-    c.kernel = model.kernel;
-    c.model = std::move(model);
-    audit_model(spec, options, c.model, declared, c.findings);
-    cases.push_back(std::move(c));
-  };
-  const EncodeScheme schemes[] = {
-      EncodeScheme::kLoopBased, EncodeScheme::kTable0, EncodeScheme::kTable1,
-      EncodeScheme::kTable2,    EncodeScheme::kTable3, EncodeScheme::kTable4,
-      EncodeScheme::kTable5};
-  for (const EncodeScheme scheme : schemes) {
-    push(encode_kernel_model(spec, scheme, p, options.batch_blocks,
-                             options.assume));
-  }
-  push(preprocess_segment_model(spec, p));
-  push(preprocess_coefficients_model(spec, p, options.batch_blocks));
-  push(invert_kernel_model(spec, p, options.batch_blocks,
-                           synthesize_invertible_matrix(p.n)),
-       {1});
-  push(recode_kernel_model(spec, EncodeScheme::kTable5, p, p.n,
-                           options.batch_blocks, options.assume));
-  return cases;
-}
-
-}  // namespace
-
-AuditReport run_kernel_audit(const simgpu::DeviceSpec& spec,
-                             const AuditOptions& options) {
-  return finish_report(build_clean_cases(spec, options));
-}
-
-AuditReport run_seeded_audit(const simgpu::DeviceSpec& spec,
-                             const AuditOptions& options, AuditSeedBug bug) {
-  const coding::Params& p = options.params;
-  std::vector<AuditCase> cases;
-  AuditCase c;
-  switch (bug) {
-    case AuditSeedBug::kOobTail: {
-      // Pick a batch size whose word count is not a thread multiple so the
-      // dropped tail guard actually reaches past the buffer.
-      std::size_t count = options.batch_blocks;
-      while ((count * (p.k / 4)) % 256 == 0) ++count;
-      c.model = encode_model_impl(spec, EncodeScheme::kTable3, p, count,
-                                  options.assume, true, false);
-      break;
-    }
-    case AuditSeedBug::kDivergentBarrier: {
-      c.model = invert_kernel_model(spec, p, options.batch_blocks,
-                                    synthesize_invertible_matrix(p.n));
-      // The pivot scan modeled as "scan lane plus neighbor": width 2 is
-      // outside the declared shape {1}.
-      for (SegmentModel& seg : c.model.segments) {
-        if (seg.step_width == 1) seg.step_width = 2;
-      }
-      break;
-    }
-    case AuditSeedBug::kConflictRegression: {
-      c.model = encode_model_impl(spec, EncodeScheme::kTable5, p,
-                                  options.batch_blocks, options.assume,
-                                  false, true);
-      break;
-    }
-  }
-  c.kernel = c.model.kernel;
-  const std::vector<std::size_t> declared =
-      bug == AuditSeedBug::kDivergentBarrier ? std::vector<std::size_t>{1}
-                                             : std::vector<std::size_t>{};
-  audit_model(spec, options, c.model, declared, c.findings);
-  cases.push_back(std::move(c));
-  return finish_report(std::move(cases));
 }
 
 }  // namespace extnc::gpu

@@ -22,13 +22,9 @@
 // synthesized from the same class; engine_equivalence_test holds the fast
 // path bit-equal on real inputs.
 //
-// On top of the models sits the pre-launch audit (run_kernel_audit /
-// tools/extnc_audit): geometry validation, shared/global footprint checks
-// (OOB-freedom without running), barrier-divergence checks against the
-// kernel's declared LaunchShape, and advisory bank-conflict / uncoalesced
-// lints — a static superset of the dynamic Checker's advisories, since the
-// model sees every group class, not only those a particular payload
-// happens to exercise.
+// The pre-launch audit over these models (geometry, footprints, barrier
+// structure, advisory lints) lives with the dynamic sanitizer in
+// gpu/kernel_check.h, behind tools/extnc_check.
 #pragma once
 
 #include <algorithm>
@@ -247,81 +243,5 @@ simgpu::StaticKernelModel recode_kernel_model(
     const simgpu::DeviceSpec& spec, EncodeScheme scheme,
     const coding::Params& params, std::size_t received, std::size_t produced,
     const ModelAssumptions& assume = {});
-
-// ------------------------------------------------------------------------
-// Pre-launch audit.
-
-enum class AuditKind {
-  kGeometry,           // launch shape vs device limits (error)
-  kSharedFootprint,    // scratchpad bytes vs shared_mem_per_sm (error)
-  kGlobalFootprint,    // modeled extent vs registered buffer size (error)
-  kBarrierDivergence,  // step width outside the declared LaunchShape (error)
-  kBankConflictLint,   // max serialization degree >= threshold (advisory)
-  kUncoalescedLint,    // max half-warp transactions >= threshold (advisory)
-};
-
-const char* audit_kind_name(AuditKind kind);
-
-struct AuditFinding {
-  AuditKind kind;
-  bool advisory = false;
-  std::string kernel;
-  std::string detail;
-};
-
-struct AuditOptions {
-  coding::Params params{.n = 16, .k = 256};
-  std::size_t batch_blocks = 16;
-  ModelAssumptions assume;
-  // Advisory lint thresholds; defaults match the dynamic Checker's.
-  std::uint64_t bank_conflict_threshold = 8;
-  std::uint64_t uncoalesced_threshold = 16;
-};
-
-struct AuditCase {
-  std::string kernel;
-  simgpu::StaticKernelModel model;
-  std::vector<AuditFinding> findings;
-};
-
-struct AuditReport {
-  std::vector<AuditCase> cases;
-  std::size_t error_count = 0;     // non-advisory findings
-  std::size_t advisory_count = 0;  // lints
-
-  bool clean() const { return error_count == 0; }
-};
-
-// Audit every shipped kernel's model against `spec`: the seven encode
-// schemes, both preprocess kernels, the inverter and the recoder. Emits
-// simgpu.audit.* metrics (cases, errors, advisories) via the process
-// metrics registry.
-AuditReport run_kernel_audit(const simgpu::DeviceSpec& spec,
-                             const AuditOptions& options);
-
-// Negative controls: re-run the audit with one deliberately broken model
-// substituted, and expect the matching finding. Used by extnc_audit
-// --seed-bug and the CI audit gate: a clean report here means the audit
-// lost its teeth.
-enum class AuditSeedBug {
-  // The encode store step modeled without its tail guard: the last block
-  // writes the strided range rounded up to a full thread count, past the
-  // registered output buffer.
-  kOobTail,
-  // The inverter's pivot scan modeled at width 2 ("scan lane plus its
-  // neighbor"), which is outside the kernel's declared LaunchShape {1}.
-  kDivergentBarrier,
-  // The tb5 table load modeled lane-blocked instead of lane-interleaved:
-  // each lane sweeps a contiguous 16-word chunk, so a half-warp's stores
-  // stride 16 words apart — 16 distinct words in one bank, degree 16.
-  kConflictRegression,
-};
-
-const char* audit_seed_bug_name(AuditSeedBug bug);
-
-// Returns the audit report with the seeded defect present; callers assert
-// it is NOT clean (or that the expected advisory fired).
-AuditReport run_seeded_audit(const simgpu::DeviceSpec& spec,
-                             const AuditOptions& options, AuditSeedBug bug);
 
 }  // namespace extnc::gpu

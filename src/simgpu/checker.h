@@ -85,7 +85,7 @@ struct CheckFinding {
   static constexpr std::size_t kNoLane = static_cast<std::size_t>(-1);
 
   CheckKind kind = CheckKind::kSharedWriteWrite;
-  std::string label;  // Launcher launch label at the time of the launch
+  std::string label{};  // Launcher launch label at the time of the launch
   std::size_t block = 0;
   std::uint64_t segment = 0;  // barrier-segment index within the block
   std::size_t lane = kNoLane;

@@ -343,7 +343,7 @@ void Launcher::run_blocks(const LaunchConfig& config,
   ctx.shared_ = &shared;
   // Fast forms are only offered to unchecked launches: the sanitizer
   // needs to see every individual access, so a resolved checker forces the
-  // interpreted path (this is also what keeps the checker-gate CI job
+  // interpreted path (this is also what keeps extnc_check's dynamic sweep
   // honest without any extra plumbing).
   ctx.fast_ = checker == nullptr && fast_path_enabled();
   BlockCheckState check_state;

@@ -76,7 +76,7 @@ struct LaunchConfig {
   ExecEngine engine = ExecEngine::kAuto;
   // Kernel sanitizer (simgpu/checker.h): opt-in/out and declared shape.
   CheckToggle check = CheckToggle::kDefault;
-  LaunchShape shape;
+  LaunchShape shape{};
 };
 
 // Per-block scratchpad (the 16 KB on-chip shared memory of one SM).

@@ -20,11 +20,11 @@
 //    access structure over its index space — for the static models and,
 //    via BlockCtx::charge, for the fast path.
 //
-// The audit path (gpu/kernel_audit.h, tools/extnc_audit) consumes these
-// models to validate geometry, OOB-freedom and barrier divergence before
-// any launch, and to emit static bank-conflict/uncoalesced lints — a
-// superset of the dynamic Checker's advisories, since the model sees every
-// group class, not just the ones a particular payload exercises.
+// The pre-launch audit (gpu/kernel_check.h, tools/extnc_check) consumes
+// these models to validate geometry, OOB-freedom and barrier divergence
+// before any launch, and to emit static bank-conflict/uncoalesced lints —
+// a superset of the dynamic Checker's advisories, since the model sees
+// every group class, not just the ones a particular payload exercises.
 #pragma once
 
 #include <array>

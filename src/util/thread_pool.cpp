@@ -51,10 +51,10 @@ void ThreadPool::run_batch(std::size_t count,
                            const std::function<void(std::size_t)>& fn) {
   if (count == 0) return;
   struct Latch {
-    std::mutex m;
-    std::condition_variable done;
+    std::mutex m{};
+    std::condition_variable done{};
     std::size_t remaining;
-    std::exception_ptr error;  // first exception of this batch
+    std::exception_ptr error{};  // first exception of this batch
   };
   Latch latch{.remaining = count};
   for (std::size_t i = 0; i < count; ++i) {

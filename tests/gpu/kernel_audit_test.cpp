@@ -2,9 +2,8 @@
 // totals() must equal, bit for bit, the KernelMetrics the interpreted
 // engine produces for a run over inputs synthesized from the same payload
 // class — across schemes, devices, geometries (aligned and straddling) and
-// class variants. Plus the audit itself: clean reports for the shipped
-// kernels on both paper devices, and the seeded negative controls each
-// caught with the right finding kind.
+// class variants. The audit over these models (the KernelAudit suite) is
+// tested with the rest of gpu/kernel_check in kernel_check_test.cpp.
 #include "gpu/kernel_audit.h"
 
 #include <gtest/gtest.h>
@@ -21,7 +20,6 @@
 #include "simgpu/exec_engine.h"
 #include "simgpu/profiler.h"
 #include "simgpu/static_model.h"
-#include "util/metrics_registry.h"
 
 namespace extnc::gpu {
 namespace {
@@ -263,68 +261,6 @@ TEST(KernelAuditClasses, PayloadAndCoefficientClassBytes) {
   assume.coeff_zero_every = 3;
   EXPECT_EQ(coeff_class_byte(assume, 2), -1);
   EXPECT_EQ(coeff_class_byte(assume, 3), 0x1d);
-}
-
-TEST(KernelAudit, CleanOnBothPaperDevices) {
-  for (const simgpu::DeviceSpec& spec :
-       {simgpu::gtx280(), simgpu::geforce_8800gt()}) {
-    metrics::Registry::instance().reset();
-    const AuditReport report = run_kernel_audit(spec, AuditOptions{});
-    EXPECT_TRUE(report.clean()) << spec.name;
-    EXPECT_EQ(report.cases.size(), 11u) << spec.name;  // 7 + 2 + invert + recode
-    for (const AuditCase& c : report.cases) {
-      for (const AuditFinding& f : c.findings) {
-        EXPECT_TRUE(f.advisory)
-            << spec.name << " " << c.kernel << ": " << f.detail;
-      }
-    }
-    EXPECT_EQ(metrics::Registry::instance().value("simgpu.audit.cases"),
-              static_cast<double>(report.cases.size()))
-        << spec.name;
-    EXPECT_EQ(metrics::Registry::instance().value("simgpu.audit.errors"), 0.0)
-        << spec.name;
-  }
-}
-
-TEST(KernelAudit, SeededOobTailCaught) {
-  const AuditReport report =
-      run_seeded_audit(simgpu::gtx280(), AuditOptions{}, AuditSeedBug::kOobTail);
-  EXPECT_FALSE(report.clean());
-  bool found = false;
-  for (const AuditCase& c : report.cases) {
-    for (const AuditFinding& f : c.findings) {
-      found |= f.kind == AuditKind::kGlobalFootprint && !f.advisory;
-    }
-  }
-  EXPECT_TRUE(found);
-}
-
-TEST(KernelAudit, SeededDivergentBarrierCaught) {
-  const AuditReport report = run_seeded_audit(
-      simgpu::gtx280(), AuditOptions{}, AuditSeedBug::kDivergentBarrier);
-  EXPECT_FALSE(report.clean());
-  bool found = false;
-  for (const AuditCase& c : report.cases) {
-    for (const AuditFinding& f : c.findings) {
-      found |= f.kind == AuditKind::kBarrierDivergence && !f.advisory;
-    }
-  }
-  EXPECT_TRUE(found);
-}
-
-TEST(KernelAudit, SeededConflictRegressionCaught) {
-  const AuditReport report = run_seeded_audit(
-      simgpu::gtx280(), AuditOptions{}, AuditSeedBug::kConflictRegression);
-  // A lane-blocked tb5 table load serializes its stores 16-deep: the
-  // bank-conflict lint (an advisory) must fire at full degree.
-  bool found = false;
-  for (const AuditCase& c : report.cases) {
-    EXPECT_EQ(c.model.max_conflict_degree(), 16u);
-    for (const AuditFinding& f : c.findings) {
-      found |= f.kind == AuditKind::kBankConflictLint;
-    }
-  }
-  EXPECT_TRUE(found);
 }
 
 }  // namespace

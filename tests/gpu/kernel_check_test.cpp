@@ -1,6 +1,9 @@
-// The clean-suite sanitizer gate as a unit test: every shipped kernel runs
-// under the checker with zero error findings, on both engines, with
-// bit-identical reports — and the case list itself covers what it claims.
+// The kernel-verification gates as unit tests. Dynamic: every shipped
+// kernel runs under the checker with zero error findings, on both engines,
+// with bit-identical reports — and the case list itself covers what it
+// claims. Static (the KernelAudit suite): clean audits of the shipped
+// kernel models on both paper devices, and the seeded model defects each
+// caught with the right finding kind.
 #include "gpu/kernel_check.h"
 
 #include <gtest/gtest.h>
@@ -11,6 +14,7 @@
 
 #include "simgpu/device_spec.h"
 #include "simgpu/exec_engine.h"
+#include "util/metrics_registry.h"
 
 namespace extnc::gpu {
 namespace {
@@ -78,6 +82,68 @@ TEST(KernelCheck, CaseListCoversTheShippedKernelFamilies) {
                                     simgpu::ExecEngine::kSerial);
   EXPECT_FALSE(has_case(gt, "decode/single+atomic"));
   EXPECT_EQ(gtx.size(), gt.size() + 2);
+}
+
+TEST(KernelAudit, CleanOnBothPaperDevices) {
+  for (const simgpu::DeviceSpec& spec :
+       {simgpu::gtx280(), simgpu::geforce_8800gt()}) {
+    metrics::Registry::instance().reset();
+    const AuditReport report = run_kernel_audit(spec, KernelCheckOptions{});
+    EXPECT_TRUE(report.clean()) << spec.name;
+    EXPECT_EQ(report.cases.size(), 11u) << spec.name;  // 7 + 2 + invert + recode
+    for (const AuditCase& c : report.cases) {
+      for (const AuditFinding& f : c.findings) {
+        EXPECT_TRUE(f.advisory)
+            << spec.name << " " << c.kernel << ": " << f.detail;
+      }
+    }
+    EXPECT_EQ(metrics::Registry::instance().value("simgpu.audit.cases"),
+              static_cast<double>(report.cases.size()))
+        << spec.name;
+    EXPECT_EQ(metrics::Registry::instance().value("simgpu.audit.errors"), 0.0)
+        << spec.name;
+  }
+}
+
+TEST(KernelAudit, SeededOobTailCaught) {
+  const AuditReport report =
+      run_seeded_audit(simgpu::gtx280(), KernelCheckOptions{}, SeedBug::kOobTail);
+  EXPECT_FALSE(report.clean());
+  bool found = false;
+  for (const AuditCase& c : report.cases) {
+    for (const AuditFinding& f : c.findings) {
+      found |= f.kind == AuditKind::kGlobalFootprint && !f.advisory;
+    }
+  }
+  EXPECT_TRUE(found);
+}
+
+TEST(KernelAudit, SeededDivergentBarrierCaught) {
+  const AuditReport report = run_seeded_audit(
+      simgpu::gtx280(), KernelCheckOptions{}, SeedBug::kDivergentBarrier);
+  EXPECT_FALSE(report.clean());
+  bool found = false;
+  for (const AuditCase& c : report.cases) {
+    for (const AuditFinding& f : c.findings) {
+      found |= f.kind == AuditKind::kBarrierDivergence && !f.advisory;
+    }
+  }
+  EXPECT_TRUE(found);
+}
+
+TEST(KernelAudit, SeededConflictRegressionCaught) {
+  const AuditReport report = run_seeded_audit(
+      simgpu::gtx280(), KernelCheckOptions{}, SeedBug::kConflictRegression);
+  // A lane-blocked tb5 table load serializes its stores 16-deep: the
+  // bank-conflict lint (an advisory) must fire at full degree.
+  bool found = false;
+  for (const AuditCase& c : report.cases) {
+    EXPECT_EQ(c.model.max_conflict_degree(), 16u);
+    for (const AuditFinding& f : c.findings) {
+      found |= f.kind == AuditKind::kBankConflictLint;
+    }
+  }
+  EXPECT_TRUE(found);
 }
 
 }  // namespace

@@ -106,8 +106,13 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(Case{4, 4}, Case{4, 64}, Case{16, 128}, Case{32, 68},
                       Case{64, 256}, Case{128, 32}),
     [](const auto& info) {
-      return "n" + std::to_string(info.param.n) + "_k" +
-             std::to_string(info.param.k);
+      // Appended piecewise: `"n" + std::to_string(...)` trips a GCC 12
+      // -Wrestrict false positive inside libstdc++'s string insert.
+      std::string name = "n";
+      name += std::to_string(info.param.n);
+      name += "_k";
+      name += std::to_string(info.param.k);
+      return name;
     });
 
 }  // namespace

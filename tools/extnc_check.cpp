@@ -1,178 +1,219 @@
-// extnc_check — run every shipped kernel under the simgpu kernel sanitizer
-// and gate on the result.
+// extnc_check — verify every shipped kernel: the static pre-launch audit,
+// then the checked dynamic sweep, on every selected device.
 //
-//   extnc_check [--device gtx280|8800gt] [--engine serial|parallel|both]
-//               [--n N] [--k K] [--blocks B]
+//   extnc_check [--device gtx280|8800gt|all] [--n N] [--k K] [--blocks B]
+//               [--class uniform|stride64|sparse] [--zero-every N]
+//               [--verbose]
 //
-// Default mode sweeps all encode schemes, both decoders (every Sec. 5.4
+// Static section: derives the access model of each kernel (the seven
+// encode schemes, both preprocess kernels, the multi-segment inverter and
+// the recoder) from DeviceSpec + geometry alone — no kernel runs — and
+// audits geometry, shared/global footprints and barrier structure, with
+// advisory bank-conflict / uncoalesced lints. --class and --zero-every
+// pick the payload class the models are built for.
+//
+// Dynamic section: runs all encode schemes, both decoders (every Sec. 5.4
 // option combination the device supports), the recoder and the hybrid
-// encoder under a collect-mode simgpu::Checker, printing one line per
-// case. Exit status 1 if any case has error findings — advisory perf
-// lints are printed but never fail the gate. With --engine both the
-// serial and parallel sweeps must also produce bit-identical reports
-// (the sanitizer analogue of the engine-equivalence tests).
+// encoder under a collect-mode simgpu::Checker, once on the serial and
+// once on the parallel engine; the two engines' reports must be
+// bit-identical.
 //
-//   extnc_check --seed-bug race|rw-race|oob-shared|oob-global|
-//                          misaligned|divergence|stale
+// One line per kernel in each section. Exit 1 if either check reports an
+// error finding or the engines disagree; advisory lints are printed (all
+// of them with --verbose) but never fail the gate. Usage errors exit 2.
 //
-// Runs one deliberately-broken synthetic kernel instead and exits 1 when
-// the sanitizer flags it (so CTest's WILL_FAIL can assert each bug class
-// is caught; exit 0 here would mean a checker regression).
+//   extnc_check --seed-bug race|rw-race|oob-shared|oob-global|misaligned|
+//                          divergence|stale|oob-tail|divergent-barrier|
+//                          conflict-regression
 //
-//   extnc_check --overhead [--max-slowdown F]
+// Negative controls: runs one deliberately broken kernel (or kernel model,
+// for the last three) instead, prints "seeded '<bug>' caught" and exits 1
+// when the check flags it on every selected device; "MISSED" and exit 0
+// mean the check lost its teeth.
+//
+//   extnc_check --overhead
 //
 // Times a tb5 encode workload unchecked vs checked and exits 1 if the
-// checked run exceeds F times the unchecked one (default 8; the checker
+// checked run exceeds kMaxSlowdown times the unchecked one (the checker
 // audits every byte of every shared access but measures ~2x in practice —
-// see DESIGN.md "Kernel sanitizer").
+// see DESIGN.md "Kernel verification").
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "bench_common.h"
 #include "gpu/gpu_encoder.h"
 #include "gpu/kernel_check.h"
 #include "simgpu/checker.h"
+#include "simgpu/device_spec.h"
 #include "simgpu/exec_engine.h"
-#include "simgpu/executor.h"
 #include "util/cli_flags.h"
 #include "util/rng.h"
 
 namespace {
 
 using namespace extnc;
-using namespace extnc::bench;
-using simgpu::BlockCtx;
-using simgpu::CheckConfig;
-using simgpu::Checker;
-using simgpu::ThreadCtx;
+using gpu::AuditCase;
+using gpu::AuditFinding;
+using gpu::AuditReport;
+using gpu::KernelCheckOptions;
+using simgpu::DeviceSpec;
 
-// ---------------------------------------------------------------- sweep --
+constexpr double kMaxSlowdown = 8.0;
 
-int run_sweep(const simgpu::DeviceSpec& spec, simgpu::ExecEngine engine,
-              const gpu::KernelCheckOptions& options, bool both) {
-  const auto cases = gpu::run_kernel_checks(spec, engine, options);
-  std::vector<gpu::KernelCheckCase> parallel_cases;
-  if (both) {
-    parallel_cases =
-        gpu::run_kernel_checks(spec, simgpu::ExecEngine::kParallel, options);
+[[noreturn]] void die(const std::string& message) {
+  std::fprintf(stderr, "extnc_check: %s\n", message.c_str());
+  std::exit(2);
+}
+
+// ---------------------------------------------------------------- static --
+
+void print_audit_case(const AuditCase& c, bool verbose) {
+  const simgpu::KernelMetrics totals = c.model.totals();
+  std::size_t errors = 0;
+  std::size_t advisories = 0;
+  for (const AuditFinding& f : c.findings) {
+    if (f.advisory) {
+      ++advisories;
+    } else {
+      ++errors;
+    }
   }
+  std::printf(
+      "  %-28s %-5s %4zux%-3zu deg<=%-2llu tx<=%-2llu "
+      "(%llu shared, %llu tx, %llu tex, %zu errors, %zu advisories)\n",
+      c.kernel.c_str(), errors == 0 ? "clean" : "DIRTY", c.model.blocks,
+      c.model.threads_per_block,
+      static_cast<unsigned long long>(c.model.max_conflict_degree()),
+      static_cast<unsigned long long>(c.model.max_group_transactions()),
+      static_cast<unsigned long long>(totals.shared_accesses),
+      static_cast<unsigned long long>(totals.global_transactions),
+      static_cast<unsigned long long>(totals.texture_fetches), errors,
+      advisories);
+  for (const AuditFinding& f : c.findings) {
+    if (!f.advisory || verbose) {
+      std::printf("    [%s%s] %s\n", gpu::audit_kind_name(f.kind),
+                  f.advisory ? " advisory" : "", f.detail.c_str());
+    }
+  }
+  if (!verbose) return;
+  for (const simgpu::SegmentModel& seg : c.model.segments) {
+    std::printf(
+        "    segment %-16s width %-4zu deg<=%-2llu "
+        "(%llu events, %llu cycles)\n",
+        seg.name.c_str(), seg.step_width,
+        static_cast<unsigned long long>(seg.max_conflict_degree()),
+        static_cast<unsigned long long>(seg.counters.shared_access_events),
+        static_cast<unsigned long long>(
+            seg.counters.shared_serialized_cycles));
+  }
+  for (const simgpu::FootprintRegion& region : c.model.footprint) {
+    std::printf("    footprint %-18s %s %zu / %zu bytes\n",
+                region.name.c_str(), region.written ? "writes" : "reads",
+                region.bytes_needed, region.bytes_registered);
+  }
+}
 
-  int exit_code = 0;
-  std::printf("extnc_check: %zu kernel cases on %s (n=%zu, k=%zu)\n",
-              cases.size(), spec.name, options.params.n, options.params.k);
-  for (std::size_t i = 0; i < cases.size(); ++i) {
-    const gpu::KernelCheckCase& c = cases[i];
+bool run_static(const DeviceSpec& spec, const KernelCheckOptions& options,
+                bool verbose) {
+  const AuditReport report = gpu::run_kernel_audit(spec, options);
+  std::printf("extnc_check: static audit, %zu kernel models on %s (n=%zu, "
+              "k=%zu, batch=%zu)\n",
+              report.cases.size(), spec.name, options.params.n,
+              options.params.k, options.batch_blocks);
+  for (const AuditCase& c : report.cases) print_audit_case(c, verbose);
+  std::printf("extnc_check: static audit %s on %s (%zu errors, %zu "
+              "advisories)\n",
+              report.clean() ? "clean" : "FAILED", spec.name,
+              report.error_count, report.advisory_count);
+  return report.clean();
+}
+
+// --------------------------------------------------------------- dynamic --
+
+bool run_dynamic(const DeviceSpec& spec, const KernelCheckOptions& options,
+                 bool verbose) {
+  const auto serial =
+      gpu::run_kernel_checks(spec, simgpu::ExecEngine::kSerial, options);
+  const auto parallel =
+      gpu::run_kernel_checks(spec, simgpu::ExecEngine::kParallel, options);
+
+  bool clean = true;
+  bool identical = true;
+  std::printf("extnc_check: dynamic sweep, %zu kernel cases on %s (n=%zu, "
+              "k=%zu, batch=%zu)\n",
+              serial.size(), spec.name, options.params.n, options.params.k,
+              options.batch_blocks);
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    const gpu::KernelCheckCase& c = serial[i];
     const unsigned long long errors = c.report.errors();
-    const unsigned long long advisories = c.report.advisories();
     std::printf("  %-28s %s  (%llu errors, %llu advisories, %llu launches)\n",
                 c.name.c_str(), errors == 0 ? "clean" : "DIRTY", errors,
-                advisories,
+                static_cast<unsigned long long>(c.report.advisories()),
                 static_cast<unsigned long long>(c.report.checked_launches));
-    if (errors != 0) {
+    if (errors != 0 || (verbose && c.report.advisories() != 0)) {
       std::printf("%s\n", c.report.to_string().c_str());
-      exit_code = 1;
     }
-    if (both && !(c.report == parallel_cases[i].report)) {
+    clean = clean && errors == 0;
+    if (!(c.report == parallel[i].report)) {
       std::printf("  %-28s ENGINE MISMATCH: serial and parallel reports "
                   "differ\n",
                   c.name.c_str());
-      exit_code = 1;
+      identical = false;
     }
   }
-  if (exit_code == 0) {
-    std::printf("extnc_check: all cases clean%s\n",
-                both ? ", serial and parallel reports identical" : "");
-  }
-  return exit_code;
+  std::printf("extnc_check: dynamic sweep %s on %s, serial and parallel "
+              "reports %s\n",
+              clean ? "clean" : "FAILED", spec.name,
+              identical ? "identical" : "DIFFER");
+  return clean && identical;
 }
 
 // ------------------------------------------------------------ seeded bugs --
 
-// Each seeded bug runs a tiny kernel that commits exactly one class of
-// error; the tool exits 1 when the sanitizer reports it (the expected
-// outcome, asserted via CTest WILL_FAIL) and 0 on a checker regression.
-int run_seed_bug(const simgpu::DeviceSpec& spec, const std::string& bug) {
-  CheckConfig config;
-  config.mode = CheckConfig::Mode::kCollect;
-  Checker checker(config);
-  simgpu::Launcher launcher(spec);
-  launcher.set_checker(&checker);
-  launcher.set_launch_label("seeded/" + bug);
-  const simgpu::LaunchConfig launch{.blocks = 1, .threads_per_block = 16};
-
-  std::vector<std::uint8_t> small(16);
-  Checker::ScopedWatch watch(&checker, small.data(), small.size(), "small");
-
-  if (bug == "race") {
-    // Every lane writes shared byte 0 in one segment: write/write hazard.
-    launcher.launch(launch, [](BlockCtx& block) {
-      block.step([](ThreadCtx& thread) {
-        thread.sstore_u8(0, static_cast<std::uint8_t>(thread.lane()));
-      });
-    });
-  } else if (bug == "rw-race") {
-    // Lane 0 writes, later lanes read the same byte in the same segment.
-    launcher.launch(launch, [](BlockCtx& block) {
-      block.step([](ThreadCtx& thread) {
-        if (thread.lane() == 0) {
-          thread.sstore_u8(0, 1);
-        } else {
-          (void)thread.sload_u8(0);
-        }
-      });
-    });
-  } else if (bug == "oob-shared") {
-    launcher.launch(launch, [&](BlockCtx& block) {
-      block.step([&](ThreadCtx& thread) {
-        (void)thread.sload_u8(spec.shared_mem_per_sm + thread.lane());
-      });
-    });
-  } else if (bug == "oob-global") {
-    // Reads stride past the end of the watched 16-byte buffer.
-    launcher.launch(launch, [&](BlockCtx& block) {
-      block.step([&](ThreadCtx& thread) {
-        (void)thread.gload_u8(small.data() + small.size() + thread.lane());
-      });
-    });
-  } else if (bug == "misaligned") {
-    launcher.launch(launch, [](BlockCtx& block) {
-      block.step([](ThreadCtx& thread) {
-        thread.sstore_u32(2 + thread.lane() * 8, 0);
-      });
-    });
-  } else if (bug == "divergence") {
-    // A partial step the launch shape never declared.
-    launcher.launch(launch, [](BlockCtx& block) {
-      block.step_partial(3, [](ThreadCtx& thread) {
-        thread.sstore_u32(thread.lane() * 4, 1);
-      });
-    });
-  } else if (bug == "stale") {
-    // In-bounds read of shared memory no lane ever wrote this launch.
-    launcher.launch(launch, [](BlockCtx& block) {
-      block.step([](ThreadCtx& thread) {
-        (void)thread.sload_u8(128 + thread.lane());
-      });
-    });
-  } else {
-    die("unknown --seed-bug '" + bug +
-        "' (expected race, rw-race, oob-shared, oob-global, misaligned, "
-        "divergence or stale)");
+// True when the check flags `bug` on `spec`. Every dynamic bug is an error
+// finding; the static conflict regression surfaces as an advisory.
+bool seeded_caught(const DeviceSpec& spec, const KernelCheckOptions& options,
+                   const gpu::SeedBugInfo& info) {
+  if (info.is_static) {
+    const AuditReport report = gpu::run_seeded_audit(spec, options, info.bug);
+    for (const AuditCase& c : report.cases) print_audit_case(c, true);
+    return report.error_count > 0 || report.advisory_count > 0;
   }
-
-  const simgpu::CheckReport& report = checker.report();
-  std::printf("extnc_check: seeded '%s' -> %llu error findings\n",
-              bug.c_str(),
-              static_cast<unsigned long long>(report.errors()));
+  const simgpu::CheckReport report = gpu::run_seeded_check(spec, info.bug);
   std::printf("%s\n", report.to_string().c_str());
-  return report.errors() > 0 ? 1 : 0;
+  return report.errors() > 0;
+}
+
+int run_seed_bug(const std::vector<const DeviceSpec*>& specs,
+                 const KernelCheckOptions& options, const std::string& name) {
+  const auto bug = gpu::parse_seed_bug(name);
+  if (!bug.has_value()) {
+    std::string expected;
+    for (const gpu::SeedBugInfo& info : gpu::kSeedBugs) {
+      expected += expected.empty() ? "" : ", ";
+      expected += info.name;
+    }
+    die("unknown --seed-bug '" + name + "' (expected one of " + expected +
+        ")");
+  }
+  const gpu::SeedBugInfo& info = gpu::seed_bug_info(*bug);
+  bool caught = true;
+  for (const DeviceSpec* spec : specs) {
+    const bool here = seeded_caught(*spec, options, info);
+    std::printf("extnc_check: seeded '%s' %s on %s\n", info.name,
+                here ? "flagged" : "not flagged", spec->name);
+    caught = caught && here;
+  }
+  std::printf("extnc_check: seeded '%s' %s\n", info.name,
+              caught ? "caught" : "MISSED");
+  return caught ? 1 : 0;
 }
 
 // -------------------------------------------------------------- overhead --
 
-double time_encode(const simgpu::DeviceSpec& spec, Checker* checker) {
+double time_encode(const DeviceSpec& spec, simgpu::Checker* checker) {
   Rng rng(7);
   const coding::Params params{.n = 64, .k = 1024};
   const coding::Segment segment = coding::Segment::random(params, rng);
@@ -185,7 +226,7 @@ double time_encode(const simgpu::DeviceSpec& spec, Checker* checker) {
   return std::chrono::duration<double>(stop - start).count();
 }
 
-int run_overhead(const simgpu::DeviceSpec& spec, double max_slowdown) {
+bool run_overhead(const DeviceSpec& spec) {
   // Measure instrumentation cost against the interpreted engine: checked
   // launches always interpret, so letting the unchecked baseline take the
   // warp-batched fast path would fold the fast-path speedup into the
@@ -197,26 +238,27 @@ int run_overhead(const simgpu::DeviceSpec& spec, double max_slowdown) {
   (void)time_encode(spec, nullptr);
   double unchecked = 1e9;
   double checked = 1e9;
-  CheckConfig config;
-  config.mode = CheckConfig::Mode::kCollect;
+  simgpu::CheckConfig config;
+  config.mode = simgpu::CheckConfig::Mode::kCollect;
   for (int i = 0; i < 3; ++i) {
     unchecked = std::min(unchecked, time_encode(spec, nullptr));
-    Checker checker(config);
+    simgpu::Checker checker(config);
     checked = std::min(checked, time_encode(spec, &checker));
   }
   simgpu::set_fast_path_enabled(fast_saved);
   const double slowdown = checked / unchecked;
-  std::printf("extnc_check: overhead tb5 encode: unchecked %.3f ms, "
+  std::printf("extnc_check: overhead tb5 encode on %s: unchecked %.3f ms, "
               "checked %.3f ms, slowdown %.1fx (budget %.1fx)\n",
-              unchecked * 1e3, checked * 1e3, slowdown, max_slowdown);
-  if (slowdown > max_slowdown) {
+              spec.name, unchecked * 1e3, checked * 1e3, slowdown,
+              kMaxSlowdown);
+  if (slowdown > kMaxSlowdown) {
     std::fprintf(stderr,
-                 "error: checker overhead %.1fx exceeds --max-slowdown "
-                 "%.1fx\n",
-                 slowdown, max_slowdown);
-    return 1;
+                 "extnc_check: checker overhead %.1fx exceeds the %.1fx "
+                 "budget on %s\n",
+                 slowdown, kMaxSlowdown, spec.name);
+    return false;
   }
-  return 0;
+  return true;
 }
 
 }  // namespace
@@ -226,42 +268,65 @@ int main(int argc, char** argv) {
   const auto flags = CliFlags::parse(
       argc, argv, 1,
       {{"--device", CliFlag::Kind::kText},
-       {"--engine", CliFlag::Kind::kText},
        {"--n", CliFlag::Kind::kSize},
        {"--k", CliFlag::Kind::kSize},
        {"--blocks", CliFlag::Kind::kSize},
+       {"--class", CliFlag::Kind::kText},
+       {"--zero-every", CliFlag::Kind::kSize},
        {"--seed-bug", CliFlag::Kind::kText},
        {"--overhead", CliFlag::Kind::kBool},
-       {"--max-slowdown", CliFlag::Kind::kNumber}},
+       {"--verbose", CliFlag::Kind::kBool}},
       &error);
-  if (!flags.has_value()) die(error);
+  if (!flags) die(error);
 
-  const simgpu::DeviceSpec& spec =
-      device_by_name(flags->text("--device", "gtx280"));
-
-  const std::string bug = flags->text("--seed-bug");
-  if (!bug.empty()) return run_seed_bug(spec, bug);
-  if (flags->has("--overhead")) {
-    return run_overhead(spec, flags->number("--max-slowdown", 8.0));
-  }
-
-  gpu::KernelCheckOptions options;
+  KernelCheckOptions options;
   options.params.n = flags->size("--n", options.params.n);
   options.params.k = flags->size("--k", options.params.k);
   options.batch_blocks = flags->size("--blocks", options.batch_blocks);
+  options.assume.coeff_zero_every = flags->size("--zero-every", 0);
+  const std::string cls = flags->text("--class", "uniform");
+  if (cls == "uniform") {
+    options.assume.payload_class = gpu::PayloadClass::kUniform;
+  } else if (cls == "stride64") {
+    options.assume.payload_class = gpu::PayloadClass::kStride64;
+  } else if (cls == "sparse") {
+    options.assume.payload_class = gpu::PayloadClass::kSparse;
+  } else {
+    die("unknown payload class '" + cls +
+        "' (expected uniform, stride64 or sparse)");
+  }
   if (options.params.n % 4 != 0 || options.params.k % 4 != 0) {
     die("--n and --k must be multiples of 4 (GPU kernels use 32-bit words)");
   }
 
-  const std::string engine_arg = flags->text("--engine", "both");
-  if (engine_arg == "both") {
-    return run_sweep(spec, simgpu::ExecEngine::kSerial, options,
-                     /*both=*/true);
+  const std::string device = flags->text("--device", "all");
+  std::vector<const DeviceSpec*> specs;
+  if (device == "all") {
+    specs = {&simgpu::gtx280(), &simgpu::geforce_8800gt()};
+  } else if (device == "gtx280") {
+    specs = {&simgpu::gtx280()};
+  } else if (device == "8800gt") {
+    specs = {&simgpu::geforce_8800gt()};
+  } else {
+    die("unknown device '" + device + "' (expected gtx280, 8800gt or all)");
   }
-  const auto engine = simgpu::parse_engine(engine_arg);
-  if (!engine.has_value()) {
-    die("unknown --engine '" + engine_arg +
-        "' (expected serial, parallel or both)");
+
+  if (flags->has("--seed-bug")) {
+    return run_seed_bug(specs, options, flags->text("--seed-bug"));
   }
-  return run_sweep(spec, *engine, options, /*both=*/false);
+  bool ok = true;
+  if (flags->has("--overhead")) {
+    for (const DeviceSpec* spec : specs) ok = run_overhead(*spec) && ok;
+    return ok ? 0 : 1;
+  }
+  // The audit runs no kernels, so it goes first for every device.
+  const bool verbose = flags->has("--verbose");
+  for (const DeviceSpec* spec : specs) {
+    ok = run_static(*spec, options, verbose) && ok;
+  }
+  for (const DeviceSpec* spec : specs) {
+    ok = run_dynamic(*spec, options, verbose) && ok;
+  }
+  std::printf("extnc_check: %s\n", ok ? "all checks clean" : "FAILED");
+  return ok ? 0 : 1;
 }
