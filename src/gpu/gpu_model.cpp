@@ -1,15 +1,15 @@
 #include "gpu/gpu_model.h"
 
 #include <algorithm>
-#include <map>
 #include <mutex>
 #include <string>
-#include <tuple>
+#include <vector>
 
+#include "gf256/matrix.h"
 #include "gpu/gpu_encoder.h"
+#include "gpu/kernel_audit.h"
 #include "gpu/kernel_cost.h"
 #include "util/rng.h"
-#include "util/timer.h"
 
 namespace extnc::gpu {
 
@@ -23,130 +23,106 @@ constexpr double kMb = 1024.0 * 1024.0;
 // sum_{c=1}^{255} bit_length(c) / 255 = 1786 / 255 ~= 7.0.
 constexpr double kAvgLoopIterations = 1786.0 / 255.0;
 
-struct PerWordCosts {
-  double alu = 0;
-  double global_load_bytes = 0;
-  double global_store_bytes = 0;
-  double transactions = 0;
-  double shared_accesses = 0;
-  double shared_events = 0;
-  double shared_cycles = 0;
-  double texture_fetches = 0;
-  double texture_misses = 0;
+// Calibration workload: small, since per-word costs are k-independent.
+constexpr std::size_t kCalibrationK = 512;
+constexpr std::size_t kCalibrationBlocks = 96;
+constexpr std::uint64_t kModelSeed = 0x5eed;
+
+// One memo, per (device, kernel, n), for the two costly inputs of the
+// models: each scheme's calibration run and the stage-1 inverter walk
+// (seconds at n = 512, independent of k). Keyed on the spec's value, so a
+// reused or reallocated DeviceSpec never reads another device's costs.
+struct MemoEntry {
+  simgpu::DeviceSpec spec;
+  std::string kernel;
+  std::size_t n;
+  KernelMetrics metrics;
 };
 
-// One calibration run per (device, scheme, n): per-output-word costs.
-PerWordCosts calibrate_encode(const simgpu::DeviceSpec& spec,
-                              EncodeScheme scheme, std::size_t n,
-                              const EncodeModelOptions& options) {
-  using Key = std::tuple<const simgpu::DeviceSpec*, EncodeScheme, std::size_t>;
-  static std::map<Key, PerWordCosts> cache;
+template <typename Compute>
+KernelMetrics memoized(const simgpu::DeviceSpec& spec,
+                       const std::string& kernel, std::size_t n,
+                       Compute compute) {
+  static std::vector<MemoEntry> memo;
   static std::mutex mutex;
-  const Key key{&spec, scheme, n};
+  auto find = [&] {
+    return std::find_if(memo.begin(), memo.end(), [&](const MemoEntry& e) {
+      return e.spec == spec && e.kernel == kernel && e.n == n;
+    });
+  };
   {
     std::lock_guard lock(mutex);
-    auto it = cache.find(key);
-    if (it != cache.end()) return it->second;
+    if (auto it = find(); it != memo.end()) return it->metrics;
   }
-
-  Rng rng(options.seed);
-  const coding::Params params{.n = n, .k = options.calibration_k};
-  const coding::Segment segment = coding::Segment::random(params, rng);
-  GpuEncoder encoder(spec, segment, scheme);
-  encoder.reset_metrics();
-  (void)encoder.encode_batch(options.calibration_blocks, rng);
-  const KernelMetrics& m = encoder.encode_metrics();
-
-  const double words = static_cast<double>(options.calibration_blocks) *
-                       options.calibration_k / 4.0;
-  PerWordCosts costs;
-  costs.alu = m.alu_ops() / words;
-  costs.global_load_bytes = static_cast<double>(m.global_load_bytes) / words;
-  costs.global_store_bytes = static_cast<double>(m.global_store_bytes) / words;
-  costs.transactions = static_cast<double>(m.global_transactions) / words;
-  costs.shared_accesses = static_cast<double>(m.shared_accesses) / words;
-  costs.shared_events = static_cast<double>(m.shared_access_events) / words;
-  costs.shared_cycles =
-      static_cast<double>(m.shared_serialized_cycles) / words;
-  costs.texture_fetches = static_cast<double>(m.texture_fetches) / words;
-  costs.texture_misses = static_cast<double>(m.texture_misses) / words;
-
+  const KernelMetrics metrics = compute();
   std::lock_guard lock(mutex);
-  cache.emplace(key, costs);
-  return costs;
+  if (find() == memo.end()) memo.push_back({spec, kernel, n, metrics});
+  return metrics;
 }
 
-}  // namespace
+// The encode kernel's metrics over kCalibrationBlocks blocks of
+// kCalibrationK bytes at this n.
+KernelMetrics calibrate_encode(const simgpu::DeviceSpec& spec,
+                               EncodeScheme scheme, std::size_t n) {
+  return memoized(spec, scheme_label(scheme), n, [&] {
+    Rng rng(kModelSeed);
+    const coding::Params params{.n = n, .k = kCalibrationK};
+    const coding::Segment segment = coding::Segment::random(params, rng);
+    GpuEncoder encoder(spec, segment, scheme);
+    encoder.reset_metrics();
+    (void)encoder.encode_batch(kCalibrationBlocks, rng);
+    return encoder.encode_metrics();
+  });
+}
 
-namespace {
-
-// Scaled kernel metrics for encoding `coded_blocks` blocks with `scheme`,
-// with preprocessing for `segments` source segments when requested. Also
-// the stage-2 model of multi-segment decoding (which reuses the encode
-// kernel).
+// The encode launch for `coded_blocks` blocks: the calibration's per-word
+// costs scaled to the target words, with the target's launch geometry.
 KernelMetrics scaled_encode_metrics(const simgpu::DeviceSpec& spec,
                                     EncodeScheme scheme,
                                     const coding::Params& params,
-                                    std::size_t coded_blocks,
-                                    bool include_preprocessing,
-                                    std::size_t segments,
-                                    const EncodeModelOptions& options) {
-  const PerWordCosts per_word =
-      calibrate_encode(spec, scheme, params.n, options);
+                                    std::size_t coded_blocks) {
+  const KernelMetrics cal = calibrate_encode(spec, scheme, params.n);
+  const double cal_words =
+      static_cast<double>(kCalibrationBlocks) * kCalibrationK / 4.0;
   const double words = static_cast<double>(coded_blocks) * params.k / 4.0;
+  auto scale = [&](std::uint64_t count) {
+    return static_cast<std::uint64_t>(static_cast<double>(count) / cal_words *
+                                      words);
+  };
 
   KernelMetrics m;
-  m.set_alu_ops(per_word.alu * words);
-  m.global_load_bytes =
-      static_cast<std::uint64_t>(per_word.global_load_bytes * words);
-  m.global_store_bytes =
-      static_cast<std::uint64_t>(per_word.global_store_bytes * words);
-  m.global_transactions =
-      static_cast<std::uint64_t>(per_word.transactions * words);
-  m.shared_accesses =
-      static_cast<std::uint64_t>(per_word.shared_accesses * words);
-  m.shared_access_events =
-      static_cast<std::uint64_t>(per_word.shared_events * words);
-  m.shared_serialized_cycles =
-      static_cast<std::uint64_t>(per_word.shared_cycles * words);
-  m.texture_fetches =
-      static_cast<std::uint64_t>(per_word.texture_fetches * words);
-  m.texture_misses =
-      static_cast<std::uint64_t>(per_word.texture_misses * words);
+  m.set_alu_ops(cal.alu_ops() / cal_words * words);
+  m.global_load_bytes = scale(cal.global_load_bytes);
+  m.global_store_bytes = scale(cal.global_store_bytes);
+  m.global_transactions = scale(cal.global_transactions);
+  m.shared_accesses = scale(cal.shared_accesses);
+  m.shared_access_events = scale(cal.shared_access_events);
+  m.shared_serialized_cycles = scale(cal.shared_serialized_cycles);
+  m.texture_fetches = scale(cal.texture_fetches);
+  m.texture_misses = scale(cal.texture_misses);
   m.kernel_launches = 1;
-  // Launch geometry of the target workload.
-  if (scheme == EncodeScheme::kLoopBased) {
-    m.threads_per_block = 256;
-    m.blocks = static_cast<std::size_t>(words) / 256 + 1;
-  } else {
-    m.threads_per_block = 256;
-    m.blocks = std::min<std::size_t>(
-        spec.num_sms, static_cast<std::size_t>(words) / 256 + 1);
+  m.threads_per_block = 256;
+  m.blocks = static_cast<std::size_t>(words) / 256 + 1;
+  if (scheme != EncodeScheme::kLoopBased) {
+    m.blocks = std::min<std::size_t>(spec.num_sms, m.blocks);
   }
+  return m;
+}
 
+// Encoding `coded_blocks` blocks of one segment: the log-domain
+// preprocessing launches when requested (and the scheme has them), then
+// the encode launch, merged in that order so the geometry is the encode's.
+KernelMetrics encode_workload_metrics(const simgpu::DeviceSpec& spec,
+                                      EncodeScheme scheme,
+                                      const coding::Params& params,
+                                      std::size_t coded_blocks,
+                                      bool include_preprocessing) {
+  KernelMetrics m;
   if (include_preprocessing && scheme_is_preprocessed(scheme)) {
-    // Log-domain transforms: every source segment (n*k bytes each) once
-    // plus the coefficient matrix (coded_blocks * n bytes), amortized over
-    // this batch.
-    const double pre_bytes =
-        static_cast<double>(segments) * params.segment_bytes() +
-        static_cast<double>(coded_blocks) * params.n;
-    KernelMetrics pre;
-    pre.set_alu_ops(pre_bytes * (kPreprocessPerByte + 0.5 /*amortized loads*/));
-    pre.global_load_bytes = static_cast<std::uint64_t>(pre_bytes);
-    pre.global_store_bytes = static_cast<std::uint64_t>(pre_bytes);
-    pre.global_transactions = static_cast<std::uint64_t>(2 * pre_bytes / 64);
-    pre.kernel_launches = 2;
-    pre.blocks = spec.num_sms;
-    pre.threads_per_block = 256;
-    m.merge(pre);
-    m.kernel_launches = 3;
-    m.blocks = (scheme == EncodeScheme::kLoopBased)
-                   ? static_cast<std::size_t>(words) / 256 + 1
-                   : std::min<std::size_t>(
-                         spec.num_sms,
-                         static_cast<std::size_t>(words) / 256 + 1);
+    m.merge(preprocess_segment_model(spec, params).totals());
+    m.merge(preprocess_coefficients_model(spec, params, coded_blocks).totals());
   }
+  m.merge(scaled_encode_metrics(spec, scheme, params, coded_blocks));
   return m;
 }
 
@@ -156,9 +132,9 @@ BandwidthEstimate model_encode_bandwidth(const simgpu::DeviceSpec& spec,
                                          EncodeScheme scheme,
                                          const coding::Params& params,
                                          const EncodeModelOptions& options) {
-  const KernelMetrics m = scaled_encode_metrics(
-      spec, scheme, params, options.coded_blocks,
-      options.include_preprocessing, /*segments=*/1, options);
+  const KernelMetrics m =
+      encode_workload_metrics(spec, scheme, params, options.coded_blocks,
+                              options.include_preprocessing);
   BandwidthEstimate estimate;
   estimate.time = simgpu::estimate_time(spec, m);
   const double payload_bytes =
@@ -262,71 +238,48 @@ BandwidthEstimate model_single_segment_decode(const simgpu::DeviceSpec& spec,
   return estimate;
 }
 
-KernelMetrics analytic_inversion_metrics(const simgpu::DeviceSpec& spec,
-                                         const coding::Params& params,
-                                         std::size_t segments) {
-  const double n = static_cast<double>(params.n);
-  const double s = static_cast<double>(segments);
-  const double row_words = 2.0 * n / 4.0;
-  // Per segment: n columns x (~n eliminations + 1 scale) row ops over the
-  // augmented [C | I], plus the serial pivot scans. Within a column the
-  // eliminations are row-parallel (the functional kernel's geometry), so
-  // the block runs with a full thread complement; only the column loop is
-  // serial.
-  const double row_ops = s * n * n;
-  const double per_word_alu =
-      kDecodeCost.per_word + kDecodeCost.per_iteration * kAvgLoopIterations +
-      3.0;
-  KernelMetrics m;
-  m.set_alu_ops(row_ops * row_words * per_word_alu);
-  m.add_alu_ops(s * n * n / 2.0 * kDecodeCost.pivot_search_per_byte);
-  const double bytes = row_ops * row_words * 4.0;
-  m.global_load_bytes = static_cast<std::uint64_t>(2.0 * bytes);
-  m.global_store_bytes = static_cast<std::uint64_t>(bytes);
-  m.global_transactions = static_cast<std::uint64_t>(3.0 * bytes / 64.0);
-  m.kernel_launches = 1;
-  // Per column: pivot scan, occasional swap, scale, factor staging and the
-  // row-parallel elimination — ~4.5 barrier-fenced steps.
-  m.barriers = static_cast<std::uint64_t>(4.5 * n) * segments;
-  m.blocks = segments;
-  m.threads_per_block = static_cast<std::size_t>(std::min(
-      static_cast<double>(spec.max_threads_per_block),
-      std::max(1.0, n * row_words)));
-  return m;
-}
-
-KernelMetrics analytic_multiply_metrics(const simgpu::DeviceSpec& spec,
-                                        const coding::Params& params,
-                                        std::size_t segments) {
-  // Stage 2 reuses the table-based-5 encode kernel (see
-  // GpuMultiSegmentDecoder::multiply_stage): per segment, n "coded blocks"
-  // whose coefficients are the rows of C^-1, with the coded payloads
-  // preprocessed to the log domain as pseudo-source blocks.
-  return scaled_encode_metrics(spec, EncodeScheme::kTable5, params,
-                               /*coded_blocks=*/segments * params.n,
-                               /*include_preprocessing=*/true, segments,
-                               EncodeModelOptions{});
+std::vector<std::uint8_t> multi_segment_model_matrix(std::size_t n) {
+  Rng rng(kModelSeed);
+  const gf256::Matrix matrix = gf256::Matrix::random_invertible(n, rng);
+  return {matrix.data(), matrix.data() + n * n};
 }
 
 MultiSegEstimate model_multi_segment_decode(const simgpu::DeviceSpec& spec,
                                             const coding::Params& params,
                                             std::size_t segments,
                                             simgpu::Profiler* profiler) {
-  const KernelMetrics stage1_m =
-      analytic_inversion_metrics(spec, params, segments);
-  const KernelMetrics stage2_m =
-      analytic_multiply_metrics(spec, params, segments);
-  MultiSegEstimate estimate;
-  estimate.stage1 = simgpu::estimate_time(spec, stage1_m);
-  estimate.stage2 = simgpu::estimate_time(spec, stage2_m);
-  if (profiler != nullptr) {
-    profiler->record_launch(spec, "model/decode/multiseg/invert", stage1_m);
-    profiler->record_launch(spec, "model/decode/multiseg/stage2", stage2_m);
+  // Stage 1: one launch, one inverter block per segment. Every block
+  // inverts the same matrix, so the launch is the one-block walk repeated.
+  const KernelMetrics invert_block = memoized(spec, "invert", params.n, [&] {
+    return invert_kernel_model(spec, params, 1,
+                               multi_segment_model_matrix(params.n))
+        .totals();
+  });
+  // Stage 2, per segment: the payloads and the rows of C^-1 to the log
+  // domain, then a tb5 encode of n blocks (GpuMultiSegmentDecoder's
+  // multiply_stage).
+  const KernelMetrics multiply = encode_workload_metrics(
+      spec, EncodeScheme::kTable5, params, params.n,
+      /*include_preprocessing=*/true);
+  KernelMetrics stage1;
+  KernelMetrics stage2;
+  for (std::size_t s = 0; s < segments; ++s) {
+    stage1.merge(invert_block);
+    stage2.merge(multiply);
   }
-  const double total = estimate.stage1.total_s + estimate.stage2.total_s;
-  estimate.stage1_share = estimate.stage1.total_s / total;
+  stage1.kernel_launches = 1;
+  stage1.blocks = segments;
+
+  const double stage1_s = simgpu::estimate_time(spec, stage1).total_s;
+  const double total_s = stage1_s + simgpu::estimate_time(spec, stage2).total_s;
+  if (profiler != nullptr) {
+    profiler->record_launch(spec, "model/decode/multiseg/invert", stage1);
+    profiler->record_launch(spec, "model/decode/multiseg/stage2", stage2);
+  }
+  MultiSegEstimate estimate;
+  estimate.stage1_share = stage1_s / total_s;
   estimate.mb_per_s =
-      static_cast<double>(segments) * params.segment_bytes() / kMb / total;
+      static_cast<double>(segments) * params.segment_bytes() / kMb / total_s;
   return estimate;
 }
 

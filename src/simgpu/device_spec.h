@@ -41,6 +41,8 @@ struct DeviceSpec {
   double peak_ips() const {
     return static_cast<double>(num_sms) * cores_per_sm * core_clock_hz;
   }
+
+  friend bool operator==(const DeviceSpec&, const DeviceSpec&) = default;
 };
 
 // The two parts used in the paper's evaluation.

@@ -98,6 +98,8 @@ struct KernelMetrics {
   std::uint64_t global_bytes() const {
     return global_load_bytes + global_store_bytes;
   }
+
+  friend bool operator==(const KernelMetrics&, const KernelMetrics&) = default;
 };
 
 }  // namespace extnc::simgpu

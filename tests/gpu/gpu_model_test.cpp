@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
-#include "coding/block_decoder.h"
+#include <algorithm>
+#include <vector>
+
 #include "coding/encoder.h"
 #include "cpu/xeon_model.h"
 #include "gpu/gpu_multiseg_decoder.h"
@@ -108,6 +110,19 @@ TEST(GpuModelFig4a, Gtx280DoublesThe8800Gt) {
   }
 }
 
+TEST(GpuModel, CalibrationFollowsTheSpecValueNotItsAddress) {
+  // One DeviceSpec variable reused for another device must get that
+  // device's calibration, not the costs memoized for its address.
+  const Params p{.n = 128, .k = 4096};
+  simgpu::DeviceSpec spec = gtx();
+  (void)model_encode_bandwidth(spec, EncodeScheme::kTable5, p);
+  spec = simgpu::geforce_8800gt();
+  EXPECT_EQ(model_encode_bandwidth(spec, EncodeScheme::kTable5, p).mb_per_s,
+            model_encode_bandwidth(simgpu::geforce_8800gt(),
+                                   EncodeScheme::kTable5, p)
+                .mb_per_s);
+}
+
 // --- Fig. 4(b): single-segment decoding -------------------------------------
 
 TEST(GpuModelFig4b, GpuDecodeBeatsMacProAt8KbAndAbove) {
@@ -159,6 +174,18 @@ TEST(GpuModelFig4b, SmallBlockDecodeIsLaunchAndSyncBound) {
 TEST(GpuModelFig9, SixSegmentPeakNear254) {
   const auto est = model_multi_segment_decode(gtx(), {.n = 128, .k = 32768}, 6);
   EXPECT_NEAR(est.mb_per_s, 254.0, 25.0);
+}
+
+TEST(GpuModelFig9, ThreeSegmentsAtN256) {
+  // Fig. 9's n = 256 curve: stage 1 dominates at 4 KB blocks, and its
+  // share falls as blocks grow to 32 KB.
+  const auto mid = model_multi_segment_decode(gtx(), {.n = 256, .k = 4096}, 3);
+  const auto large =
+      model_multi_segment_decode(gtx(), {.n = 256, .k = 32768}, 3);
+  EXPECT_NEAR(mid.mb_per_s, 36.7, 3.0);
+  EXPECT_NEAR(large.mb_per_s, 105.7, 8.0);
+  EXPECT_GT(mid.stage1_share, 0.5);
+  EXPECT_LT(large.stage1_share, mid.stage1_share);
 }
 
 TEST(GpuModelFig9, MultiSegmentGainOverSingleSegmentInPaperRange) {
@@ -240,31 +267,34 @@ TEST(GpuModel, EncodeAdvantageOverMacProAtLeast4x) {
 
 // --- analytic/functional cross-checks ---------------------------------------
 
-TEST(GpuModelCrossCheck, AnalyticInversionMatchesFunctionalAluWork) {
-  // Run a real multi-segment decode at a small size and compare measured
-  // stage-1 ALU work with the analytic builder (within 30%: the analytic
-  // form ignores pivot swaps and boundary effects).
-  Rng rng(10);
+TEST(GpuModelCrossCheck, MultiSegmentInvertLaunchEqualsFunctionalStage1) {
+  // The modeled stage-1 launch is the inverter's static model: bit-equal to
+  // the functional decoder's stage 1 on the model's own matrix, here with
+  // three segments in flight.
   const Params params{.n = 16, .k = 128};
-  coding::Segment segment = coding::Segment::random(params, rng);
-  coding::Encoder encoder(segment);
-  coding::CodedBatch batch(params, params.n);
-  coding::BlockDecoder probe(params);
-  std::size_t stored = 0;
-  while (stored < params.n) {
-    coding::CodedBlock block = encoder.encode(rng);
-    if (!probe.add(block)) continue;
-    std::copy(block.coefficients().begin(), block.coefficients().end(),
-              batch.coefficients(stored).begin());
-    std::copy(block.payload().begin(), block.payload().end(),
-              batch.payload(stored).begin());
-    ++stored;
+  const std::vector<std::uint8_t> matrix = multi_segment_model_matrix(params.n);
+  std::vector<coding::CodedBatch> batches;
+  for (int s = 0; s < 3; ++s) {
+    coding::CodedBatch batch(params, params.n);
+    for (std::size_t r = 0; r < params.n; ++r) {
+      std::copy_n(matrix.begin() + r * params.n, params.n,
+                  batch.coefficients(r).begin());
+      std::fill(batch.payload(r).begin(), batch.payload(r).end(),
+                static_cast<std::uint8_t>(r + s));
+    }
+    batches.push_back(std::move(batch));
   }
   GpuMultiSegmentDecoder decoder(gtx(), params);
-  (void)decoder.decode_all({batch});
-  const auto analytic = analytic_inversion_metrics(gtx(), params, 1);
-  const double measured = decoder.stage1_metrics().alu_ops();
-  EXPECT_NEAR(analytic.alu_ops() / measured, 1.0, 0.3);
+  (void)decoder.decode_all(batches);
+
+  simgpu::Profiler profiler;
+  (void)model_multi_segment_decode(gtx(), params, 3, &profiler);
+  const simgpu::LaunchProfile* invert = nullptr;
+  for (const simgpu::LaunchProfile& launch : profiler.launches()) {
+    if (launch.label == "model/decode/multiseg/invert") invert = &launch;
+  }
+  ASSERT_NE(invert, nullptr);
+  EXPECT_TRUE(invert->metrics == decoder.stage1_metrics());
 }
 
 TEST(GpuModelCrossCheck, AnalyticSingleSegmentMatchesFunctionalAluWork) {
