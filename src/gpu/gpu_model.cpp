@@ -28,10 +28,12 @@ constexpr std::size_t kCalibrationK = 512;
 constexpr std::size_t kCalibrationBlocks = 96;
 constexpr std::uint64_t kModelSeed = 0x5eed;
 
-// One memo, per (device, kernel, n), for the two costly inputs of the
-// models: each scheme's calibration run and the stage-1 inverter walk
-// (seconds at n = 512, independent of k). Keyed on the spec's value, so a
-// reused or reallocated DeviceSpec never reads another device's costs.
+// One memo, per (device, kernel, n), for the costly inputs of the models:
+// each scheme's calibration run, the stage-1 inverter walk (seconds at
+// n = 512, independent of k) and the two preprocessing walks (their kernel
+// key also names the k or coded-block count the walk depends on). Keyed
+// on the spec's value, so a reused or reallocated DeviceSpec never reads
+// another device's costs.
 struct MemoEntry {
   simgpu::DeviceSpec spec;
   std::string kernel;
@@ -119,8 +121,17 @@ KernelMetrics encode_workload_metrics(const simgpu::DeviceSpec& spec,
                                       bool include_preprocessing) {
   KernelMetrics m;
   if (include_preprocessing && scheme_is_preprocessed(scheme)) {
-    m.merge(preprocess_segment_model(spec, params).totals());
-    m.merge(preprocess_coefficients_model(spec, params, coded_blocks).totals());
+    const std::string segment_key =
+        "preprocess_segment/k" + std::to_string(params.k);
+    m.merge(memoized(spec, segment_key, params.n, [&] {
+      return preprocess_segment_model(spec, params).totals();
+    }));
+    const std::string coefficients_key =
+        "preprocess_coefficients/blocks" + std::to_string(coded_blocks);
+    m.merge(memoized(spec, coefficients_key, params.n, [&] {
+      return preprocess_coefficients_model(spec, params, coded_blocks)
+          .totals();
+    }));
   }
   m.merge(scaled_encode_metrics(spec, scheme, params, coded_blocks));
   return m;

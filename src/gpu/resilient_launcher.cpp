@@ -215,6 +215,23 @@ OperationReport ResilientLauncher::run(const SupervisedOp& op) {
   return report;
 }
 
+// --- Row check ------------------------------------------------------------
+
+bool rows_match_reference(const coding::Encoder& reference,
+                          const coding::CodedBatch& batch, std::size_t sample,
+                          Rng* sampler) {
+  const std::size_t count = batch.count();
+  const std::size_t samples = std::min(sample, count);
+  EXTNC_CHECK(samples == count || sampler != nullptr);
+  std::vector<std::uint8_t> scratch(batch.params().k);
+  for (std::size_t s = 0; s < samples; ++s) {
+    const std::size_t j = samples == count ? s : sampler->next_below(count);
+    reference.encode_with_coefficients(batch.coefficients(j), scratch);
+    if (!std::ranges::equal(scratch, batch.payload(j))) return false;
+  }
+  return true;
+}
+
 // --- ResilientEncoder ------------------------------------------------------
 
 ResilientEncoder::ResilientEncoder(const simgpu::DeviceSpec& spec,
@@ -248,7 +265,11 @@ void ResilientEncoder::encode_into(coding::CodedBatch& batch) {
   };
   op.gpu_clock = supervisor_->device_clock(
       [this] { return gpu_encoder_.launcher().elapsed_seconds(); });
-  op.verify = [this, &batch] { return verify_batch(batch); };
+  op.verify = [this, &batch] {
+    return rows_match_reference(reference_, batch,
+                                supervisor_->config().verify_sample,
+                                &sample_rng_);
+  };
   op.cpu = [this, &batch] { cpu_encoder_.encode_into(batch); };
   last_ = supervisor_->run(op);
 }
@@ -263,22 +284,6 @@ coding::CodedBatch ResilientEncoder::encode_batch(std::size_t count,
   }
   encode_into(batch);
   return batch;
-}
-
-bool ResilientEncoder::verify_batch(const coding::CodedBatch& batch) {
-  const std::size_t count = batch.count();
-  if (count == 0) return true;
-  const std::size_t samples =
-      std::min(supervisor_->config().verify_sample, count);
-  std::vector<std::uint8_t> scratch(params().k);
-  for (std::size_t s = 0; s < samples; ++s) {
-    // With enough budget to cover the batch, check every row; otherwise
-    // spot-check random rows.
-    const std::size_t j = samples == count ? s : sample_rng_.next_below(count);
-    reference_.encode_with_coefficients(batch.coefficients(j), scratch);
-    if (crc32c(scratch) != crc32c(batch.payload(j))) return false;
-  }
-  return true;
 }
 
 // --- DecodeCheckpoint ------------------------------------------------------
@@ -462,8 +467,14 @@ std::vector<coding::Segment> ResilientMultiSegDecoder::decode_all(
       }
     };
     op.gpu_clock = [&clock_accum] { return clock_accum; };
+    // Identity check: the decoded segment, re-encoded with a received
+    // row's coefficients, must reproduce that row's payload byte-for-byte.
+    // Dense rows mix every source block, so corruption anywhere in the
+    // segment is visible from any sampled row.
     op.verify = [this, &batch, &out, i] {
-      return verify_segment(batch, out[i]);
+      return rows_match_reference(coding::Encoder(out[i]), batch,
+                                  supervisor_->config().verify_sample,
+                                  &sample_rng_);
     };
     if (!stop_on_device_loss) op.cpu = cpu_decode;
 
@@ -488,24 +499,6 @@ std::vector<coding::Segment> ResilientMultiSegDecoder::decode_all(
   }
   last_.complete = true;
   return out;
-}
-
-bool ResilientMultiSegDecoder::verify_segment(const coding::CodedBatch& batch,
-                                              const coding::Segment& segment) {
-  // Identity check: the decoded segment, re-encoded with a received row's
-  // coefficients, must reproduce that row's payload byte-for-byte. Dense
-  // rows mix every source block, so corruption anywhere in the segment is
-  // visible from any sampled row.
-  coding::Encoder reference(segment);
-  const std::size_t n = params_.n;
-  const std::size_t samples = std::min(supervisor_->config().verify_sample, n);
-  std::vector<std::uint8_t> scratch(params_.k);
-  for (std::size_t s = 0; s < samples; ++s) {
-    const std::size_t j = samples == n ? s : sample_rng_.next_below(n);
-    reference.encode_with_coefficients(batch.coefficients(j), scratch);
-    if (crc32c(scratch) != crc32c(batch.payload(j))) return false;
-  }
-  return true;
 }
 
 // --- ResilientSeed ---------------------------------------------------------

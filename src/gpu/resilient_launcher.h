@@ -5,10 +5,11 @@
 // runs under a supervisor that
 //
 //   detects  — a watchdog compares the modeled device clock against a
-//              per-operation budget (catches hangs); a cheap post-condition
-//              re-encodes a few sampled rows on the CPU reference coder and
-//              compares CRC32C (catches silent bit flips); launch failures
-//              and device loss arrive as simgpu::DeviceError.
+//              per-operation budget (catches hangs); a post-condition
+//              re-encodes sampled rows on the CPU reference coder and
+//              compares them byte for byte (catches silent bit flips; see
+//              rows_match_reference); launch failures and device loss
+//              arrive as simgpu::DeviceError.
 //   retries  — bounded attempts with exponential backoff (in simulated
 //              seconds; nothing sleeps for real).
 //   degrades — a per-device circuit breaker opens after repeated failures
@@ -64,7 +65,10 @@ struct SupervisorConfig {
   // reset_breaker(). Requires a clock; with none attached the breaker
   // never half-opens.
   double breaker_cooldown_s = 0;
-  // Rows sampled by the CRC spot-check verifiers.
+  // Rows the verifiers re-encode and compare per operation (a random
+  // spot-check). A value covering the batch checks every row: the fleet
+  // sets it to max, which makes the supervisor the only reference check
+  // of a served GPU row.
   std::size_t verify_sample = 2;
   // Metric name prefix.
   std::string metric_prefix = "gpu.resilient";
@@ -183,8 +187,18 @@ class ResilientLauncher {
   double breaker_opened_at_s_ = 0;  // clock_ value when last opened
 };
 
+// The one row check of coded output against the CPU reference: re-encodes
+// rows of `batch` with `reference` and compares each with its payload byte
+// for byte (stricter than comparing CRCs, which a colliding corruption
+// passes). Checks every row when `sample` covers the batch; otherwise
+// `sample` rows drawn from `*sampler`.
+bool rows_match_reference(const coding::Encoder& reference,
+                          const coding::CodedBatch& batch,
+                          std::size_t sample = SIZE_MAX,
+                          Rng* sampler = nullptr);
+
 // GPU encoder under supervision: same interface shape as GpuEncoder, but
-// every batch is watchdog-timed, CRC-spot-checked against the reference
+// every batch is watchdog-timed, spot-checked against the reference
 // coding::Encoder, retried on transient faults and re-encoded on the CPU
 // (cpu::CpuTableEncoder — bit-exact by construction) when the GPU path is
 // unavailable. Coefficients are drawn once per batch, so the output bytes
@@ -206,8 +220,6 @@ class ResilientEncoder {
   GpuEncoder& gpu_encoder() { return gpu_encoder_; }
 
  private:
-  bool verify_batch(const coding::CodedBatch& batch);
-
   const coding::Segment* segment_;
   coding::Encoder reference_;
   GpuEncoder gpu_encoder_;
@@ -257,8 +269,8 @@ struct MultiSegReport {
 // device loss can either stop the decode (caller persists the checkpoint
 // and resumes later) or degrade the remaining segments to
 // cpu::MultiSegmentDecoder on the spot. Each decoded segment is verified
-// by re-encoding sampled rows and comparing CRC32C against the input
-// coded payloads.
+// by re-encoding sampled rows and comparing them byte for byte with the
+// input coded payloads (rows_match_reference).
 class ResilientMultiSegDecoder {
  public:
   ResilientMultiSegDecoder(const simgpu::DeviceSpec& spec,
@@ -281,9 +293,6 @@ class ResilientMultiSegDecoder {
   const coding::Params& params() const { return params_; }
 
  private:
-  bool verify_segment(const coding::CodedBatch& batch,
-                      const coding::Segment& segment);
-
   coding::Params params_;
   const simgpu::DeviceSpec* spec_;
   ThreadPool* pool_;

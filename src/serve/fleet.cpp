@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -69,6 +70,7 @@ FleetScheduler::FleetScheduler(FleetConfig config, std::function<double()> clock
     // The service delivers with a bit-exact contract: spot-checking is not
     // enough, every row of every batch is verified so a corrupting fault
     // always surfaces as a failed attempt (and retries/fallback repair it).
+    // encode_segment relies on this: it does not re-check GPU rows.
     supervisor.verify_sample = std::numeric_limits<std::size_t>::max();
     slots_.push_back(
         std::make_unique<Slot>(config_.devices[i], std::move(plan),
@@ -141,6 +143,11 @@ SegmentResult FleetScheduler::encode_segment(std::size_t device,
     } else {
       service += cpu_segment_s(blocks);
       ++slot.cpu_segments;
+      // One reference check per served row: the supervisor checked every
+      // GPU row (verify_sample is max) and the forced-CPU rows above are
+      // the reference's own, so only the supervised CPU fallback's rows
+      // are audited here.
+      result.bit_exact = gpu::rows_match_reference(reference_, batch);
     }
     result.service_s = service;
     // A successful half-open probe reclosed the breaker inside this
@@ -154,20 +161,10 @@ SegmentResult FleetScheduler::encode_segment(std::size_t device,
   }
   ++slot.segments;
 
-  // Full bit-exactness audit against the reference encoder (cheap at
-  // service params; the supervisor's own verify only spot-checks), and
-  // the delivered-payload CRC the journal persists.
-  std::vector<std::uint8_t> scratch(config_.params.k);
-  std::uint32_t crc_state = crc32c_init();
-  for (std::size_t j = 0; j < blocks; ++j) {
-    crc_state = crc32c_update(crc_state, batch.payload(j));
-    reference_.encode_with_coefficients(batch.coefficients(j), scratch);
-    if (crc32c(scratch) != crc32c(batch.payload(j))) {
-      result.bit_exact = false;
-      break;
-    }
-  }
-  result.payload_crc = crc32c_final(crc_state);
+  // The delivered-payload CRC the journal persists (payloads are stored
+  // back to back, so this is the CRC of the rows in block order).
+  result.payload_crc =
+      crc32c(std::span(batch.payloads_data(), batch.payload_bytes()));
   if (out != nullptr) *out = std::move(batch);
   return result;
 }

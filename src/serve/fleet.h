@@ -82,7 +82,11 @@ struct SegmentResult {
   gpu::OperationReport report;  // zeroed attempts for the forced-CPU mode
   double service_s = 0;         // modeled seconds of device/codec time
   bool gpu_path = false;
-  bool bit_exact = true;  // every payload matched the reference encoder
+  // Every payload matches the reference encoder. Each served row is
+  // checked once: GPU rows by the supervisor (verify_sample is max), a
+  // supervised CPU fallback's rows by encode_segment's audit; forced-CPU
+  // rows are the reference's own output.
+  bool bit_exact = true;
   // CRC32C over the batch's payloads in block order — a pure function of
   // (job seed, blocks), so replicas and post-crash re-dispatches agree.
   // The journal persists it per delivered segment.

@@ -875,6 +875,12 @@ void CodingService::dispatch_segment(std::uint64_t id) {
       metrics::count("serve.hedges");
       const SegmentResult replica =
           fleet_->encode_segment(*other, seed, blocks, mode, nullptr);
+      // The replica may be the winner whose bytes are delivered, and
+      // determinism is what makes failover safe: its rows must be exact
+      // and identical to the primary's.
+      if (!replica.bit_exact || replica.payload_crc != result.payload_crc) {
+        ++report_.bitexact_failures;
+      }
       const double replica_start =
           std::max(now, fleet_->busy_until(*other));
       const double replica_done = replica_start + replica.service_s;

@@ -194,7 +194,10 @@ struct ServiceReport {
   std::uint64_t redispatches = 0;
   // Work and verification.
   std::uint64_t segments_served = 0;
-  std::uint64_t bitexact_failures = 0;   // must be 0
+  // Must be 0: served segments (primaries and hedge replicas) whose rows
+  // differ from the reference, plus replicas whose payload CRC differs
+  // from their primary's.
+  std::uint64_t bitexact_failures = 0;
   std::uint64_t decode_mismatches = 0;   // must be 0
   std::uint64_t rank_short_segments = 0;  // possible under thinned density
   // Degradation.

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "coding/block_decoder.h"
@@ -536,6 +537,42 @@ TEST_F(ResilientEncoderFaults, BreakerHalfOpenProbeRecoversGpuAfterLoss) {
       EXPECT_EQ(crc32c(expected), crc32c(batch->payload(j))) << j;
     }
   }
+}
+
+// --- the row check ---------------------------------------------------------
+
+TEST(RowCheck, ComparesBytesWhereACrcCompareIsBlind) {
+  const Params params{.n = 8, .k = 256};
+  Rng rng(5);
+  const Segment segment = Segment::random(params, rng);
+  const Encoder reference(segment);
+  CodedBatch batch(params, 3);
+  for (std::size_t j = 0; j < batch.count(); ++j) {
+    reference.draw_coefficients(rng, batch.coefficients(j));
+    reference.encode_with_coefficients(batch.coefficients(j),
+                                       batch.payload(j));
+  }
+  ASSERT_TRUE(rows_match_reference(reference, batch));
+
+  // f1 76 ec 05 01 is a multiple of the CRC32C polynomial: XOR-ed into a
+  // row at any offset it leaves the row's CRC unchanged, so comparing CRCs
+  // of the re-encoded and the served row accepts the damaged row.
+  const std::uint8_t pattern[] = {0xf1, 0x76, 0xec, 0x05, 0x01};
+  const std::span<std::uint8_t> row = batch.payload(1);
+  const std::uint32_t clean_crc = crc32c(row);
+  auto flip = [&](std::size_t offset) {
+    for (std::size_t b = 0; b < sizeof(pattern); ++b) {
+      row[offset + b] ^= pattern[b];
+    }
+  };
+  for (std::size_t offset = 0; offset + sizeof(pattern) <= row.size();
+       ++offset) {
+    flip(offset);
+    EXPECT_EQ(crc32c(row), clean_crc) << "offset " << offset;
+    EXPECT_FALSE(rows_match_reference(reference, batch)) << "offset " << offset;
+    flip(offset);
+  }
+  EXPECT_TRUE(rows_match_reference(reference, batch));
 }
 
 // --- checkpoint wire format ------------------------------------------------

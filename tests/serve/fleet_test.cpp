@@ -41,6 +41,7 @@ TEST_F(FleetSchedulerTest, SameSeedSameBytesAcrossDevicesAndModes) {
   coding::CodedBatch on_dev0;
   coding::CodedBatch on_dev2;
   coding::CodedBatch forced_cpu;
+  coding::CodedBatch fallback_cpu;
   const std::uint64_t seed = 0xfeedbeef;
   const SegmentResult a =
       fleet_.encode_segment(0, seed, 12, ServiceMode::kFull, &on_dev0);
@@ -48,15 +49,27 @@ TEST_F(FleetSchedulerTest, SameSeedSameBytesAcrossDevicesAndModes) {
       fleet_.encode_segment(2, seed, 12, ServiceMode::kFull, &on_dev2);
   const SegmentResult c =
       fleet_.encode_segment(1, seed, 12, ServiceMode::kCpuCodec, &forced_cpu);
+  // A supervised dispatch whose breaker is open: the supervisor's CPU
+  // fallback serves it, and encode_segment's audit checks those rows.
+  fleet_.supervisor(1).trip_breaker();
+  const SegmentResult d =
+      fleet_.encode_segment(1, seed, 12, ServiceMode::kFull, &fallback_cpu);
   EXPECT_TRUE(a.bit_exact);
   EXPECT_TRUE(b.bit_exact);
   EXPECT_TRUE(c.bit_exact);
+  EXPECT_TRUE(d.bit_exact);
   EXPECT_FALSE(c.gpu_path);  // forced CPU codec never touches the device
   EXPECT_EQ(c.report.attempts, 0u);
+  EXPECT_FALSE(d.gpu_path);
+  EXPECT_EQ(d.report.path, gpu::ComputePath::kCpuFallback);
   // Hedge replicas and post-kill re-dispatches rely on this: identical
   // seed -> identical bytes, whatever device or path served it.
   EXPECT_EQ(batch_crc(on_dev0), batch_crc(on_dev2));
   EXPECT_EQ(batch_crc(on_dev0), batch_crc(forced_cpu));
+  EXPECT_EQ(batch_crc(on_dev0), batch_crc(fallback_cpu));
+  EXPECT_EQ(a.payload_crc, b.payload_crc);
+  EXPECT_EQ(a.payload_crc, c.payload_crc);
+  EXPECT_EQ(a.payload_crc, d.payload_crc);
 }
 
 TEST_F(FleetSchedulerTest, ServedBatchDecodesBitExactly) {
