@@ -54,7 +54,6 @@ serve::ServiceConfig make_config(std::size_t devices, double load,
     config.fleet.devices.push_back(i % 2 == 0 ? simgpu::gtx280()
                                               : simgpu::geforce_8800gt());
   }
-  config.fleet.threads = 1;
   config.offered_load = load;
   config.duration_s = quick ? 0.04 : 0.15;
   config.admission.capacity = 16;

@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "coding/block_decoder.h"
 #include "coding/encoder.h"
 #include "coding/progressive_decoder.h"
 #include "coding/wire.h"
@@ -139,20 +138,6 @@ struct CodingRow {
   double mb_per_s = 0;
 };
 
-std::vector<coding::CodedBlock> independent_blocks(const Segment& segment,
-                                                   Rng& rng) {
-  const coding::Encoder encoder(segment);
-  coding::ProgressiveDecoder probe(segment.params());
-  std::vector<coding::CodedBlock> blocks;
-  while (!probe.is_complete()) {
-    coding::CodedBlock block = encoder.encode(rng);
-    if (probe.add(block) == coding::ProgressiveDecoder::Result::kAccepted) {
-      blocks.push_back(std::move(block));
-    }
-  }
-  return blocks;
-}
-
 std::vector<CodingRow> bench_coding(const Shape& shape, ThreadPool& pool) {
   const Params params{.n = shape.n, .k = shape.k};
   Rng rng(22);
@@ -175,28 +160,20 @@ std::vector<CodingRow> bench_coding(const Shape& shape, ThreadPool& pool) {
                                  [&] { encoder.encode_into(batch); })});
   }
 
-  const std::vector<coding::CodedBlock> blocks =
-      independent_blocks(segment, rng);
+  const CodedBatch received = coding::independent_batch(segment, rng);
   rows.push_back({"decode/serial",
                   measure_mb_per_s(shape.repeats, params.segment_bytes(), [&] {
                     coding::ProgressiveDecoder decoder(params);
-                    for (const auto& block : blocks) decoder.add(block);
+                    for (std::size_t j = 0; j < received.count(); ++j) {
+                      decoder.add(received.coefficients(j),
+                                  received.payload(j));
+                    }
                   })});
 
   std::vector<CodedBatch> batches;
   for (std::size_t s = 0; s < shape.segments; ++s) {
-    const Segment seg = Segment::random(params, rng);
-    const std::vector<coding::CodedBlock> segment_blocks =
-        independent_blocks(seg, rng);
-    CodedBatch batch(params, params.n);
-    for (std::size_t j = 0; j < params.n; ++j) {
-      std::copy(segment_blocks[j].coefficients().begin(),
-                segment_blocks[j].coefficients().end(),
-                batch.coefficients(j).begin());
-      std::copy(segment_blocks[j].payload().begin(),
-                segment_blocks[j].payload().end(), batch.payload(j).begin());
-    }
-    batches.push_back(std::move(batch));
+    batches.push_back(
+        coding::independent_batch(Segment::random(params, rng), rng));
   }
   const cpu::MultiSegmentDecoder multiseg(params, pool);
   rows.push_back(

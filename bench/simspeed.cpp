@@ -30,8 +30,7 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "coding/block_decoder.h"
-#include "coding/encoder.h"
+#include "coding/progressive_decoder.h"
 #include "gpu/gpu_encoder.h"
 #include "gpu/gpu_multiseg_decoder.h"
 #include "simgpu/exec_engine.h"
@@ -52,24 +51,6 @@ struct Workload {
   // Runs the workload once; returns simulated payload bytes processed.
   std::function<std::size_t()> run;
 };
-
-CodedBatch independent_batch(const Segment& segment, Rng& rng) {
-  const Params& params = segment.params();
-  const coding::Encoder encoder(segment);
-  coding::BlockDecoder probe(params);
-  CodedBatch batch(params, params.n);
-  std::size_t stored = 0;
-  while (stored < params.n) {
-    coding::CodedBlock block = encoder.encode(rng);
-    if (!probe.add(block)) continue;
-    std::copy(block.coefficients().begin(), block.coefficients().end(),
-              batch.coefficients(stored).begin());
-    std::copy(block.payload().begin(), block.payload().end(),
-              batch.payload(stored).begin());
-    ++stored;
-  }
-  return batch;
-}
 
 struct Measurement {
   double seconds = 0;
@@ -152,7 +133,7 @@ std::vector<Workload> build_workloads(const simgpu::DeviceSpec& spec,
          batches.reserve(segments);
          for (std::size_t s = 0; s < segments; ++s) {
            batches.push_back(
-               independent_batch(Segment::random(params, rng), rng));
+               coding::independent_batch(Segment::random(params, rng), rng));
          }
          gpu::GpuMultiSegmentDecoder decoder(spec, params);
          const auto decoded = decoder.decode_all(batches);

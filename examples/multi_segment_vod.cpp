@@ -8,35 +8,10 @@
 // paper-scale rates for 3 vs 6 segments in flight.
 #include <cstdio>
 
-#include "coding/block_decoder.h"
-#include "coding/encoder.h"
+#include "coding/progressive_decoder.h"
 #include "gpu/gpu_model.h"
 #include "gpu/gpu_multiseg_decoder.h"
 #include "util/rng.h"
-
-namespace {
-
-extnc::coding::CodedBatch collect_blocks(const extnc::coding::Segment& segment,
-                                         extnc::Rng& rng) {
-  using namespace extnc::coding;
-  const Params& params = segment.params();
-  const Encoder encoder(segment);
-  BlockDecoder probe(params);
-  CodedBatch batch(params, params.n);
-  std::size_t stored = 0;
-  while (stored < params.n) {
-    CodedBlock block = encoder.encode(rng);
-    if (!probe.add(block)) continue;  // drop dependent arrivals
-    std::copy(block.coefficients().begin(), block.coefficients().end(),
-              batch.coefficients(stored).begin());
-    std::copy(block.payload().begin(), block.payload().end(),
-              batch.payload(stored).begin());
-    ++stored;
-  }
-  return batch;
-}
-
-}  // namespace
 
 int main() {
   using namespace extnc;
@@ -51,7 +26,7 @@ int main() {
   std::vector<coding::CodedBatch> batches;
   for (std::size_t s = 0; s < segments; ++s) {
     originals.push_back(coding::Segment::random(params, rng));
-    batches.push_back(collect_blocks(originals.back(), rng));
+    batches.push_back(coding::independent_batch(originals.back(), rng));
   }
 
   gpu::GpuMultiSegmentDecoder decoder(simgpu::gtx280(), params);

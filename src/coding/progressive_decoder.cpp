@@ -1,7 +1,9 @@
 #include "coding/progressive_decoder.h"
 
+#include <algorithm>
 #include <cstring>
 
+#include "coding/encoder.h"
 #include "gf256/gf.h"
 #include "gf256/region.h"
 #include "util/assert.h"
@@ -144,6 +146,20 @@ bool ProgressiveDecoder::check_rref_invariant() const {
     }
   }
   return present_count == rank_;
+}
+
+CodedBatch independent_batch(const Segment& segment, Rng& rng) {
+  const Encoder encoder(segment);
+  ProgressiveDecoder probe(segment.params());
+  CodedBatch batch(segment.params(), segment.params().n);
+  while (!probe.is_complete()) {
+    const CodedBlock block = encoder.encode(rng);
+    const std::size_t row = probe.rank();
+    if (probe.add(block) != ProgressiveDecoder::Result::kAccepted) continue;
+    std::ranges::copy(block.coefficients(), batch.coefficients(row).begin());
+    std::ranges::copy(block.payload(), batch.payload(row).begin());
+  }
+  return batch;
 }
 
 }  // namespace extnc::coding

@@ -13,9 +13,11 @@
 #include <cstdint>
 #include <vector>
 
+#include "coding/batch.h"
 #include "coding/coded_block.h"
 #include "coding/segment.h"
 #include "util/aligned_buffer.h"
+#include "util/rng.h"
 
 namespace extnc::coding {
 
@@ -72,5 +74,11 @@ class ProgressiveDecoder {
   std::size_t blocks_seen_ = 0;
   std::size_t blocks_discarded_ = 0;
 };
+
+// n linearly independent coded blocks of `segment`, in arrival order: the
+// reference encoder draws blocks from `rng`, and a block is kept iff it is
+// independent of those kept before it — what a receiver holds once it
+// drops dependent arrivals. Decoders under test need such a full-rank set.
+CodedBatch independent_batch(const Segment& segment, Rng& rng);
 
 }  // namespace extnc::coding

@@ -4,8 +4,7 @@
 #include <sstream>
 #include <utility>
 
-#include "coding/block_decoder.h"
-#include "coding/encoder.h"
+#include "coding/progressive_decoder.h"
 #include "gpu/gpu_decoder.h"
 #include "gpu/gpu_encoder.h"
 #include "gpu/gpu_multiseg_decoder.h"
@@ -192,27 +191,6 @@ Checker make_checker() {
   return Checker(config);
 }
 
-// n linearly independent coded blocks of `segment` (decoders require
-// independence by construction for a deterministic sweep).
-coding::CodedBatch independent_batch(const coding::Segment& segment,
-                                     Rng& rng) {
-  const coding::Params& params = segment.params();
-  const coding::Encoder encoder(segment);
-  coding::BlockDecoder probe(params);
-  coding::CodedBatch batch(params, params.n);
-  std::size_t stored = 0;
-  while (stored < params.n) {
-    coding::CodedBlock block = encoder.encode(rng);
-    if (!probe.add(block)) continue;
-    std::copy(block.coefficients().begin(), block.coefficients().end(),
-              batch.coefficients(stored).begin());
-    std::copy(block.payload().begin(), block.payload().end(),
-              batch.payload(stored).begin());
-    ++stored;
-  }
-  return batch;
-}
-
 KernelCheckCase check_encode(const simgpu::DeviceSpec& spec,
                              const KernelCheckOptions& options,
                              EncodeScheme scheme) {
@@ -234,7 +212,7 @@ KernelCheckCase check_decode_single(const simgpu::DeviceSpec& spec,
   Rng rng(kSweepSeed);
   const coding::Segment segment =
       coding::Segment::random(options.params, rng);
-  const coding::CodedBatch batch = independent_batch(segment, rng);
+  const coding::CodedBatch batch = coding::independent_batch(segment, rng);
   GpuSingleSegmentDecoder decoder(spec, options.params, decode_options);
   decoder.attach_checker(&checker);
   for (std::size_t j = 0; j < batch.count() && !decoder.is_complete(); ++j) {
@@ -250,7 +228,7 @@ KernelCheckCase check_decode_multiseg(const simgpu::DeviceSpec& spec,
   Rng rng(kSweepSeed);
   std::vector<coding::CodedBatch> batches;
   for (int s = 0; s < 2; ++s) {
-    batches.push_back(independent_batch(
+    batches.push_back(coding::independent_batch(
         coding::Segment::random(options.params, rng), rng));
   }
   GpuMultiSegmentDecoder decoder(spec, options.params);
@@ -265,7 +243,7 @@ KernelCheckCase check_recode(const simgpu::DeviceSpec& spec,
   Rng rng(kSweepSeed);
   const coding::Segment segment =
       coding::Segment::random(options.params, rng);
-  const coding::CodedBatch received = independent_batch(segment, rng);
+  const coding::CodedBatch received = coding::independent_batch(segment, rng);
   gpu_recode(spec, received, options.batch_blocks, rng,
              EncodeScheme::kTable5, /*profiler=*/nullptr, &checker);
   return {"recode", checker.report()};

@@ -236,16 +236,14 @@ bool rows_match_reference(const coding::Encoder& reference,
 
 ResilientEncoder::ResilientEncoder(const simgpu::DeviceSpec& spec,
                                    const coding::Segment& segment,
-                                   EncodeScheme scheme, ThreadPool& pool,
+                                   EncodeScheme scheme,
                                    ResilientLauncher& supervisor,
                                    simgpu::Profiler* profiler)
-    : segment_(&segment),
-      reference_(segment),
+    : reference_(segment),
       // The injector is attached *after* construction (via adopt): segment
       // preprocessing is bring-up, not the supervised serving path, and a
       // supervisor can only retry operations it initiated.
       gpu_encoder_(spec, segment, scheme, profiler, "resilient/encode"),
-      cpu_encoder_(segment, pool),
       supervisor_(&supervisor),
       sample_rng_(0xc0dedULL) {
   supervisor_->adopt(gpu_encoder_.launcher());
@@ -270,7 +268,12 @@ void ResilientEncoder::encode_into(coding::CodedBatch& batch) {
                                 supervisor_->config().verify_sample,
                                 &sample_rng_);
   };
-  op.cpu = [this, &batch] { cpu_encoder_.encode_into(batch); };
+  op.cpu = [this, &batch] {
+    for (std::size_t j = 0; j < batch.count(); ++j) {
+      reference_.encode_with_coefficients(batch.coefficients(j),
+                                          batch.payload(j));
+    }
+  };
   last_ = supervisor_->run(op);
 }
 
@@ -518,12 +521,11 @@ struct ResilientSeed::BoundContent {
 
 ResilientSeed::ResilientSeed(const simgpu::DeviceSpec& spec,
                              EncodeScheme scheme, SupervisorConfig config,
-                             simgpu::FaultPlan fault_plan, std::size_t threads,
+                             simgpu::FaultPlan fault_plan,
                              std::size_t blocks_per_launch)
     : spec_(&spec),
       scheme_(scheme),
       blocks_per_launch_(blocks_per_launch),
-      pool_(threads),
       injector_(fault_plan.any()
                     ? std::make_unique<simgpu::FaultInjector>(fault_plan)
                     : nullptr),
@@ -538,7 +540,7 @@ ResilientSeed::BoundSegment* ResilientSeed::make_bound(
   auto bound = std::make_unique<BoundSegment>();
   bound->segment = std::move(segment);
   bound->encoder = std::make_unique<ResilientEncoder>(
-      *spec_, bound->segment, scheme_, pool_, supervisor_);
+      *spec_, bound->segment, scheme_, supervisor_);
   segments_.push_back(std::move(bound));
   return segments_.back().get();
 }

@@ -14,9 +14,9 @@
 //              seconds; nothing sleeps for real).
 //   degrades — a per-device circuit breaker opens after repeated failures
 //              or on device loss, after which operations go straight to
-//              the CPU implementations (cpu::CpuTableEncoder,
-//              cpu::MultiSegmentDecoder) and the run completes bit-exact,
-//              just slower — the graceful-degradation contract.
+//              the CPU (the reference coding::Encoder for encodes,
+//              cpu::MultiSegmentDecoder for decodes) and the run completes
+//              bit-exact, just slower — the graceful-degradation contract.
 //
 // Everything is counted in the metrics registry under "gpu.resilient.*"
 // and, when a profiler is attached, marked on the trace timeline under
@@ -34,7 +34,6 @@
 #include "coding/batch.h"
 #include "coding/encoder.h"
 #include "coding/segment.h"
-#include "cpu/cpu_table_encoder.h"
 #include "gpu/gpu_encoder.h"
 #include "simgpu/fault_injector.h"
 #include "util/rng.h"
@@ -199,15 +198,15 @@ bool rows_match_reference(const coding::Encoder& reference,
 
 // GPU encoder under supervision: same interface shape as GpuEncoder, but
 // every batch is watchdog-timed, spot-checked against the reference
-// coding::Encoder, retried on transient faults and re-encoded on the CPU
-// (cpu::CpuTableEncoder — bit-exact by construction) when the GPU path is
-// unavailable. Coefficients are drawn once per batch, so the output bytes
-// are identical whichever path computed them.
+// coding::Encoder, retried on transient faults and, when the GPU path is
+// unavailable, computed by that same reference. Coefficients are drawn
+// once per batch, so the output bytes are identical whichever path
+// computed them.
 class ResilientEncoder {
  public:
   ResilientEncoder(const simgpu::DeviceSpec& spec,
                    const coding::Segment& segment, EncodeScheme scheme,
-                   ThreadPool& pool, ResilientLauncher& supervisor,
+                   ResilientLauncher& supervisor,
                    simgpu::Profiler* profiler = nullptr);
 
   const coding::Params& params() const { return gpu_encoder_.params(); }
@@ -220,10 +219,8 @@ class ResilientEncoder {
   GpuEncoder& gpu_encoder() { return gpu_encoder_; }
 
  private:
-  const coding::Segment* segment_;
   coding::Encoder reference_;
   GpuEncoder gpu_encoder_;
-  cpu::CpuTableEncoder cpu_encoder_;
   ResilientLauncher* supervisor_;
   Rng sample_rng_;
   OperationReport last_;
@@ -303,10 +300,10 @@ class ResilientMultiSegDecoder {
 };
 
 // Bridge between the supervision layer and the net simulations, which do
-// not link against gpu: owns the device (fault injector + supervisor +
-// thread pool) and hands out plain std::function seed-encoder closures
-// matching the net configs' factory hooks. The returned closures borrow
-// this object — it must outlive the simulation run.
+// not link against gpu: owns the device (fault injector + supervisor) and
+// hands out plain std::function seed-encoder closures matching the net
+// configs' factory hooks. The returned closures borrow this object — it
+// must outlive the simulation run.
 class ResilientSeed {
  public:
   // blocks_per_launch: coded blocks buffered per supervised GPU batch (the
@@ -315,7 +312,7 @@ class ResilientSeed {
   ResilientSeed(const simgpu::DeviceSpec& spec, EncodeScheme scheme,
                 SupervisorConfig config = {},
                 simgpu::FaultPlan fault_plan = {},
-                std::size_t threads = 2, std::size_t blocks_per_launch = 4);
+                std::size_t blocks_per_launch = 4);
   ~ResilientSeed();
 
   ResilientSeed(const ResilientSeed&) = delete;
@@ -343,7 +340,6 @@ class ResilientSeed {
   const simgpu::DeviceSpec* spec_;
   EncodeScheme scheme_;
   std::size_t blocks_per_launch_;
-  ThreadPool pool_;
   std::unique_ptr<simgpu::FaultInjector> injector_;
   ResilientLauncher supervisor_;
   std::vector<std::unique_ptr<BoundSegment>> segments_;

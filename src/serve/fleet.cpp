@@ -7,7 +7,7 @@
 #include <utility>
 #include <vector>
 
-#include "coding/block_decoder.h"
+#include "coding/progressive_decoder.h"
 #include "cpu/xeon_model.h"
 #include "gpu/gpu_model.h"
 #include "util/assert.h"
@@ -49,8 +49,7 @@ FleetScheduler::FleetScheduler(FleetConfig config, std::function<double()> clock
         Rng rng(config_.content_seed);
         return coding::Segment::random(config_.params, rng);
       }()),
-      reference_(content_),
-      pool_(config_.threads) {
+      reference_(content_) {
   EXTNC_CHECK(!config_.devices.empty());
   EXTNC_CHECK(config_.restore_ramp.advance_after >= 1);
   for (int s = 0; s < kRampStages; ++s) {
@@ -70,7 +69,7 @@ FleetScheduler::FleetScheduler(FleetConfig config, std::function<double()> clock
     // The service delivers with a bit-exact contract: spot-checking is not
     // enough, every row of every batch is verified so a corrupting fault
     // always surfaces as a failed attempt (and retries/fallback repair it).
-    // encode_segment relies on this: it does not re-check GPU rows.
+    // encode_segment relies on this: it does not re-check any row.
     supervisor.verify_sample = std::numeric_limits<std::size_t>::max();
     slots_.push_back(
         std::make_unique<Slot>(config_.devices[i], std::move(plan),
@@ -89,7 +88,7 @@ FleetScheduler::FleetScheduler(FleetConfig config, std::function<double()> clock
     // The encoder adopts the slot's injector, so its launches share the
     // device's fault plan and modeled clock.
     slot.encoder = std::make_unique<gpu::ResilientEncoder>(
-        slot.spec, content_, config_.scheme, pool_, slot.supervisor);
+        slot.spec, content_, config_.scheme, slot.supervisor);
   }
 }
 
@@ -143,11 +142,6 @@ SegmentResult FleetScheduler::encode_segment(std::size_t device,
     } else {
       service += cpu_segment_s(blocks);
       ++slot.cpu_segments;
-      // One reference check per served row: the supervisor checked every
-      // GPU row (verify_sample is max) and the forced-CPU rows above are
-      // the reference's own, so only the supervised CPU fallback's rows
-      // are audited here.
-      result.bit_exact = gpu::rows_match_reference(reference_, batch);
     }
     result.service_s = service;
     // A successful half-open probe reclosed the breaker inside this
@@ -171,14 +165,13 @@ SegmentResult FleetScheduler::encode_segment(std::size_t device,
 
 DecodeCheck FleetScheduler::verify_decode(
     const coding::CodedBatch& batch) const {
-  coding::BlockDecoder decoder(config_.params);
-  for (std::size_t j = 0; j < batch.count(); ++j) {
+  coding::ProgressiveDecoder decoder(config_.params);
+  for (std::size_t j = 0; j < batch.count() && !decoder.is_complete(); ++j) {
     decoder.add(batch.coefficients(j), batch.payload(j));
-    if (decoder.is_ready()) break;
   }
-  if (!decoder.is_ready()) return DecodeCheck::kRankShort;
-  return decoder.decode() == content_ ? DecodeCheck::kBitExact
-                                      : DecodeCheck::kMismatch;
+  if (!decoder.is_complete()) return DecodeCheck::kRankShort;
+  return decoder.decoded_segment() == content_ ? DecodeCheck::kBitExact
+                                               : DecodeCheck::kMismatch;
 }
 
 void FleetScheduler::kill(std::size_t device) {

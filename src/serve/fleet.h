@@ -37,7 +37,6 @@
 #include "serve/session.h"
 #include "simgpu/device_spec.h"
 #include "simgpu/fault_injector.h"
-#include "util/thread_pool.h"
 
 namespace extnc::serve {
 
@@ -67,11 +66,9 @@ struct FleetConfig {
   simgpu::FaultPlan faults;
   gpu::SupervisorConfig supervisor;
   gpu::EncodeScheme scheme = gpu::EncodeScheme::kTable5;
-  std::size_t threads = 2;
-  // Modeled per-dispatch overhead (driver + PCIe round trip). Applied
-  // uniformly across service modes: kBatched no longer gets a modeled
-  // discount — simulator launches are genuinely fast now, so the ladder
-  // level stands on real behavior instead of a fictional multiplier.
+  // Modeled per-dispatch overhead (driver + PCIe round trip), the same in
+  // every service mode: the ladder levels differ in the work they
+  // dispatch, not in a modeled discount.
   double dispatch_overhead_s = 2e-4;
   std::uint64_t content_seed = 0x5e55e;
   RestoreRampConfig restore_ramp;
@@ -82,11 +79,6 @@ struct SegmentResult {
   gpu::OperationReport report;  // zeroed attempts for the forced-CPU mode
   double service_s = 0;         // modeled seconds of device/codec time
   bool gpu_path = false;
-  // Every payload matches the reference encoder. Each served row is
-  // checked once: GPU rows by the supervisor (verify_sample is max), a
-  // supervised CPU fallback's rows by encode_segment's audit; forced-CPU
-  // rows are the reference's own output.
-  bool bit_exact = true;
   // CRC32C over the batch's payloads in block order — a pure function of
   // (job seed, blocks), so replicas and post-crash re-dispatches agree.
   // The journal persists it per delivered segment.
@@ -132,7 +124,7 @@ class FleetScheduler {
                                coding::CodedBatch* out = nullptr);
 
   // Full decode verification of a served batch against the reference
-  // content (collect blocks, invert, compare bytes).
+  // content (progressive decode of the batch, compare bytes).
   DecodeCheck verify_decode(const coding::CodedBatch& batch) const;
 
   // --- health ------------------------------------------------------------
@@ -184,9 +176,8 @@ class FleetScheduler {
 
   // --- modeled timings ---------------------------------------------------
   // One clean GPU attempt / CPU codec pass for `blocks` coded blocks.
-  // Mode-independent: batched dispatch used to carry a modeled overhead
-  // discount, but the simulator's fast path made launches genuinely cheap,
-  // so every mode is charged the same honest dispatch overhead.
+  // Mode-independent: every mode pays the same dispatch overhead, so only
+  // the block count moves the modeled time.
   double gpu_segment_s(std::size_t device, std::size_t blocks) const;
   double cpu_segment_s(std::size_t blocks) const;
   // Clean full-density GPU segment time averaged across the fleet — the
@@ -211,7 +202,6 @@ class FleetScheduler {
   std::function<double()> clock_;
   coding::Segment content_;
   coding::Encoder reference_;
-  ThreadPool pool_;
   std::vector<std::unique_ptr<Slot>> slots_;
   std::vector<RampEvent> ramp_events_;
   std::uint64_t ramp_collapses_ = 0;

@@ -194,9 +194,9 @@ struct ServiceReport {
   std::uint64_t redispatches = 0;
   // Work and verification.
   std::uint64_t segments_served = 0;
-  // Must be 0: served segments (primaries and hedge replicas) whose rows
-  // differ from the reference, plus replicas whose payload CRC differs
-  // from their primary's.
+  // Must be 0: hedge replicas whose payload CRC differs from their
+  // primary's. Every served row was already checked against the reference
+  // (or computed by it) inside encode_segment.
   std::uint64_t bitexact_failures = 0;
   std::uint64_t decode_mismatches = 0;   // must be 0
   std::uint64_t rank_short_segments = 0;  // possible under thinned density

@@ -1,6 +1,9 @@
 #include "coding/progressive_decoder.h"
 
+#include <algorithm>
+#include <span>
 #include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -196,6 +199,45 @@ INSTANTIATE_TEST_SUITE_P(
     ParamSweep, DecoderRoundTrip,
     ::testing::Combine(::testing::Values(1u, 2u, 3u, 8u, 16u, 32u, 64u),
                        ::testing::Values(1u, 3u, 16u, 100u, 256u)));
+
+// independent_batch: exactly n rows, each a reference encode, that a fresh
+// decoder accepts one by one and decodes back to the segment; the rows are
+// a pure function of the rng seed.
+class IndependentBatch : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(IndependentBatch, FreshDecoderAcceptsEveryRowAndDecodes) {
+  const Params params{.n = GetParam(), .k = 40};
+  Rng content_rng(2000 + params.n);
+  const Segment segment = Segment::random(params, content_rng);
+  Rng rng(5);
+  const CodedBatch batch = independent_batch(segment, rng);
+  ASSERT_EQ(batch.count(), params.n);
+
+  const Encoder reference(segment);
+  std::vector<std::uint8_t> expected(params.k);
+  ProgressiveDecoder decoder(params);
+  for (std::size_t j = 0; j < batch.count(); ++j) {
+    reference.encode_with_coefficients(batch.coefficients(j), expected);
+    EXPECT_TRUE(std::ranges::equal(expected, batch.payload(j))) << j;
+    EXPECT_EQ(decoder.add(batch.coefficients(j), batch.payload(j)),
+              ProgressiveDecoder::Result::kAccepted)
+        << j;
+  }
+  ASSERT_TRUE(decoder.is_complete());
+  EXPECT_EQ(decoder.decoded_segment(), segment);
+
+  Rng same_seed(5);
+  const CodedBatch again = independent_batch(segment, same_seed);
+  EXPECT_TRUE(std::ranges::equal(
+      std::span(batch.coefficients_data(), params.n * params.n),
+      std::span(again.coefficients_data(), params.n * params.n)));
+  EXPECT_TRUE(std::ranges::equal(
+      std::span(batch.payloads_data(), batch.payload_bytes()),
+      std::span(again.payloads_data(), again.payload_bytes())));
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, IndependentBatch,
+                         ::testing::Values(1u, 16u, 128u));
 
 }  // namespace
 }  // namespace extnc::coding

@@ -14,8 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "coding/block_decoder.h"
-#include "coding/encoder.h"
+#include "coding/progressive_decoder.h"
 #include "gpu/gpu_decoder.h"
 #include "gpu/gpu_encoder.h"
 #include "gpu/gpu_multiseg_decoder.h"
@@ -33,6 +32,7 @@ namespace {
 using coding::CodedBatch;
 using coding::Params;
 using coding::Segment;
+using coding::independent_batch;
 using simgpu::ExecEngine;
 using simgpu::KernelMetrics;
 
@@ -98,24 +98,6 @@ void expect_batches_identical(const CodedBatch& serial,
                            parallel.payload(j).begin()))
         << what << " payload " << j;
   }
-}
-
-CodedBatch independent_batch(const Segment& segment, Rng& rng) {
-  const Params& params = segment.params();
-  const coding::Encoder encoder(segment);
-  coding::BlockDecoder probe(params);
-  CodedBatch batch(params, params.n);
-  std::size_t stored = 0;
-  while (stored < params.n) {
-    coding::CodedBlock block = encoder.encode(rng);
-    if (!probe.add(block)) continue;
-    std::copy(block.coefficients().begin(), block.coefficients().end(),
-              batch.coefficients(stored).begin());
-    std::copy(block.payload().begin(), block.payload().end(),
-              batch.payload(stored).begin());
-    ++stored;
-  }
-  return batch;
 }
 
 // One observable run of an operation under a pinned engine: everything a

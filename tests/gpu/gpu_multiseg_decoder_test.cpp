@@ -2,34 +2,15 @@
 
 #include <gtest/gtest.h>
 
-#include "coding/block_decoder.h"
-#include "coding/encoder.h"
+#include "coding/progressive_decoder.h"
 
 namespace extnc::gpu {
 namespace {
 
 using coding::CodedBatch;
-using coding::Encoder;
 using coding::Params;
 using coding::Segment;
-
-CodedBatch independent_batch(const Segment& segment, Rng& rng) {
-  const Params& params = segment.params();
-  const Encoder encoder(segment);
-  coding::BlockDecoder probe(params);
-  CodedBatch batch(params, params.n);
-  std::size_t stored = 0;
-  while (stored < params.n) {
-    coding::CodedBlock block = encoder.encode(rng);
-    if (!probe.add(block)) continue;
-    std::copy(block.coefficients().begin(), block.coefficients().end(),
-              batch.coefficients(stored).begin());
-    std::copy(block.payload().begin(), block.payload().end(),
-              batch.payload(stored).begin());
-    ++stored;
-  }
-  return batch;
-}
+using coding::independent_batch;
 
 TEST(GpuMultiSegmentDecoder, DecodesThreeSegments) {
   Rng rng(1);

@@ -9,8 +9,8 @@
 #include <span>
 #include <vector>
 
-#include "coding/block_decoder.h"
 #include "coding/encoder.h"
+#include "coding/progressive_decoder.h"
 #include "cpu/multi_segment_decoder.h"
 #include "util/checksum.h"
 #include "util/metrics_registry.h"
@@ -22,6 +22,7 @@ using coding::CodedBatch;
 using coding::Encoder;
 using coding::Params;
 using coding::Segment;
+using coding::independent_batch;
 
 // --- supervisor state machine (synthetic closures, no GPU) -----------------
 
@@ -392,9 +393,8 @@ class ResilientEncoderFaults : public ::testing::Test {
                                    std::size_t count = 6) {
     simgpu::FaultInjector injector(plan);
     ResilientLauncher supervisor(config(), &injector);
-    ThreadPool pool(2);
     ResilientEncoder encoder(simgpu::gtx280(), segment_, EncodeScheme::kTable5,
-                             pool, supervisor);
+                             supervisor);
     const CodedBatch batch = encoder.encode_batch(count, rng_);
     const Encoder reference(segment_);
     std::vector<std::uint8_t> expected(kParams.k);
@@ -479,9 +479,8 @@ TEST_F(ResilientEncoderFaults, ScriptedBurstBackoffFollowsSimClockSchedule) {
   config.backoff_initial_s = 1e-3;
   config.backoff_factor = 2.0;
   ResilientLauncher supervisor(config, &injector);
-  ThreadPool pool(2);
   ResilientEncoder encoder(simgpu::gtx280(), segment_, EncodeScheme::kTable5,
-                           pool, supervisor);
+                           supervisor);
   const CodedBatch batch = encoder.encode_batch(6, rng_);
   const OperationReport report = encoder.last_report();
   EXPECT_EQ(report.path, ComputePath::kGpu);
@@ -510,9 +509,8 @@ TEST_F(ResilientEncoderFaults, BreakerHalfOpenProbeRecoversGpuAfterLoss) {
   ResilientLauncher supervisor(config, &injector);
   double now = 0.0;
   supervisor.set_clock([&now] { return now; });
-  ThreadPool pool(2);
   ResilientEncoder encoder(simgpu::gtx280(), segment_, EncodeScheme::kTable5,
-                           pool, supervisor);
+                           supervisor);
 
   const CodedBatch dead = encoder.encode_batch(4, rng_);
   EXPECT_EQ(encoder.last_report().path, ComputePath::kCpuFallback);
@@ -624,24 +622,6 @@ TEST(DecodeCheckpoint, RejectsDamagedBytes) {
 }
 
 // --- supervised multi-segment decode: fallback and checkpoint/resume -------
-
-CodedBatch independent_batch(const Segment& segment, Rng& rng) {
-  const Params& params = segment.params();
-  const Encoder encoder(segment);
-  coding::BlockDecoder probe(params);
-  CodedBatch batch(params, params.n);
-  std::size_t stored = 0;
-  while (stored < params.n) {
-    coding::CodedBlock block = encoder.encode(rng);
-    if (!probe.add(block)) continue;
-    std::copy(block.coefficients().begin(), block.coefficients().end(),
-              batch.coefficients(stored).begin());
-    std::copy(block.payload().begin(), block.payload().end(),
-              batch.payload(stored).begin());
-    ++stored;
-  }
-  return batch;
-}
 
 class ResilientMultiSegFaults : public ::testing::Test {
  protected:
@@ -787,8 +767,7 @@ TEST(ResilientSeed, BoundSegmentClosureSurvivesDeviceLoss) {
   simgpu::FaultPlan plan;
   plan.scripted[4] = simgpu::FaultClass::kDeviceLost;
   ResilientSeed seed(simgpu::gtx280(), EncodeScheme::kTable5,
-                     SupervisorConfig{}, plan, /*threads=*/2,
-                     /*blocks_per_launch=*/4);
+                     SupervisorConfig{}, plan, /*blocks_per_launch=*/4);
   ASSERT_NE(seed.injector(), nullptr);
   auto encode = seed.bind_segment(segment);
   const Encoder reference(segment);

@@ -26,7 +26,7 @@ TEST(DeviceFaultSwarm, SeedLosesGpuMidTransferSwarmStillCompletes) {
   simgpu::FaultPlan plan;
   plan.scripted[9] = simgpu::FaultClass::kDeviceLost;
   gpu::ResilientSeed seed(device, gpu::EncodeScheme::kTable5,
-                          gpu::SupervisorConfig{}, plan, /*threads=*/2,
+                          gpu::SupervisorConfig{}, plan,
                           /*blocks_per_launch=*/4);
   ASSERT_NE(seed.injector(), nullptr);
   seed.supervisor().set_trace(&profiler, &device);

@@ -8,7 +8,6 @@
 // isolating and ejecting pollution that arrives post-parse.
 #include <gtest/gtest.h>
 
-#include "coding/block_decoder.h"
 #include "coding/encoder.h"
 #include "coding/progressive_decoder.h"
 #include "coding/recoder.h"
@@ -232,26 +231,34 @@ TEST(FailureInjection, LineNetworkHasZeroSilentCorruptionAcross100Seeds) {
   EXPECT_GT(total_damaged, 100u);
 }
 
-TEST(FailureInjection, BlockDecoderCollectsOnlyIndependentRows) {
+TEST(FailureInjection, ProgressiveDecoderCollectsOnlyIndependentRows) {
   // Even when an adversary interleaves duplicates and stale blocks, the
-  // two-stage decoder's stored set stays independent, so decode() cannot
-  // hit a singular matrix.
+  // decoder only ever stores independent rows: every replay is discarded
+  // as dependent, the RREF basis stays intact, and the decode is exact.
   Rng rng(7);
   const Params params{.n = 8, .k = 16};
   const Segment segment = Segment::random(params, rng);
   const Encoder encoder(segment);
-  BlockDecoder decoder(params);
+  ProgressiveDecoder decoder(params);
   std::vector<CodedBlock> history;
-  while (!decoder.is_ready()) {
+  std::size_t replays = 0;
+  while (!decoder.is_complete()) {
     if (!history.empty() && rng.next_double() < 0.5) {
-      decoder.add(history[rng.next_below(history.size())]);  // replay
+      const std::size_t rank = decoder.rank();
+      EXPECT_EQ(decoder.add(history[rng.next_below(history.size())]),
+                ProgressiveDecoder::Result::kLinearlyDependent);
+      EXPECT_EQ(decoder.rank(), rank);
+      ++replays;
     } else {
       CodedBlock block = encoder.encode(rng);
       decoder.add(block);
       history.push_back(std::move(block));
     }
+    ASSERT_TRUE(decoder.check_rref_invariant());
   }
-  EXPECT_EQ(decoder.decode(), segment);
+  EXPECT_GT(replays, 0u);
+  EXPECT_EQ(decoder.blocks_seen(), history.size() + replays);
+  EXPECT_EQ(decoder.decoded_segment(), segment);
 }
 
 TEST(FailureInjection, MismatchedParamsBlocksAreFatalByContract) {

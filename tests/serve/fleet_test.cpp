@@ -2,10 +2,11 @@
 // modeled timings, decode verification.
 #include "serve/fleet.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "simgpu/device_spec.h"
-#include "util/checksum.h"
 
 namespace extnc::serve {
 namespace {
@@ -17,16 +18,19 @@ FleetConfig small_fleet(std::size_t devices) {
     config.devices.push_back(i % 2 == 0 ? simgpu::gtx280()
                                         : simgpu::geforce_8800gt());
   }
-  config.threads = 1;
   return config;
 }
 
-std::uint32_t batch_crc(const coding::CodedBatch& batch) {
-  std::uint32_t crc = 0;
-  for (std::size_t j = 0; j < batch.count(); ++j) {
-    crc ^= crc32c(batch.coefficients(j)) ^ crc32c(batch.payload(j));
+// Coefficients and payloads of two batches are equal byte for byte.
+bool same_bytes(const coding::CodedBatch& a, const coding::CodedBatch& b) {
+  if (a.count() != b.count()) return false;
+  for (std::size_t j = 0; j < a.count(); ++j) {
+    if (!std::ranges::equal(a.coefficients(j), b.coefficients(j)) ||
+        !std::ranges::equal(a.payload(j), b.payload(j))) {
+      return false;
+    }
   }
-  return crc;
+  return true;
 }
 
 class FleetSchedulerTest : public ::testing::Test {
@@ -50,23 +54,21 @@ TEST_F(FleetSchedulerTest, SameSeedSameBytesAcrossDevicesAndModes) {
   const SegmentResult c =
       fleet_.encode_segment(1, seed, 12, ServiceMode::kCpuCodec, &forced_cpu);
   // A supervised dispatch whose breaker is open: the supervisor's CPU
-  // fallback serves it, and encode_segment's audit checks those rows.
+  // fallback (the reference encoder) serves it.
   fleet_.supervisor(1).trip_breaker();
   const SegmentResult d =
       fleet_.encode_segment(1, seed, 12, ServiceMode::kFull, &fallback_cpu);
-  EXPECT_TRUE(a.bit_exact);
-  EXPECT_TRUE(b.bit_exact);
-  EXPECT_TRUE(c.bit_exact);
-  EXPECT_TRUE(d.bit_exact);
+  EXPECT_TRUE(gpu::rows_match_reference(coding::Encoder(fleet_.content()),
+                                        on_dev0));
   EXPECT_FALSE(c.gpu_path);  // forced CPU codec never touches the device
   EXPECT_EQ(c.report.attempts, 0u);
   EXPECT_FALSE(d.gpu_path);
   EXPECT_EQ(d.report.path, gpu::ComputePath::kCpuFallback);
   // Hedge replicas and post-kill re-dispatches rely on this: identical
   // seed -> identical bytes, whatever device or path served it.
-  EXPECT_EQ(batch_crc(on_dev0), batch_crc(on_dev2));
-  EXPECT_EQ(batch_crc(on_dev0), batch_crc(forced_cpu));
-  EXPECT_EQ(batch_crc(on_dev0), batch_crc(fallback_cpu));
+  EXPECT_TRUE(same_bytes(on_dev0, on_dev2));
+  EXPECT_TRUE(same_bytes(on_dev0, forced_cpu));
+  EXPECT_TRUE(same_bytes(on_dev0, fallback_cpu));
   EXPECT_EQ(a.payload_crc, b.payload_crc);
   EXPECT_EQ(a.payload_crc, c.payload_crc);
   EXPECT_EQ(a.payload_crc, d.payload_crc);
@@ -146,7 +148,8 @@ TEST_F(FleetSchedulerTest, FaultedEncodeStaysBitExactAndChargesRetries) {
   coding::CodedBatch batch;
   const SegmentResult result =
       faulted.encode_segment(0, 99, 12, ServiceMode::kFull, &batch);
-  EXPECT_TRUE(result.bit_exact);
+  EXPECT_TRUE(gpu::rows_match_reference(coding::Encoder(faulted.content()),
+                                        batch));
   EXPECT_EQ(faulted.verify_decode(batch), DecodeCheck::kBitExact);
   // The scripted bit-flips forced retries; the modeled service time must
   // charge them (attempts > 1 and backoff included).
@@ -233,10 +236,13 @@ TEST_F(FleetSchedulerTest, CpuFallbackMidRampCollapsesToStageZero) {
   // But a supervised dispatch that falls back (breaker trips mid-ramp)
   // means the device is not actually healed: back to the bottom.
   fleet.supervisor(0).trip_breaker();
+  coding::CodedBatch served;
   const SegmentResult fallback =
-      fleet.encode_segment(0, 4, 12, ServiceMode::kFull);
+      fleet.encode_segment(0, 4, 12, ServiceMode::kFull, &served);
   ASSERT_FALSE(fallback.gpu_path);
-  EXPECT_TRUE(fallback.bit_exact);  // fallback still serves correct bytes
+  // The fallback still serves correct bytes.
+  EXPECT_TRUE(gpu::rows_match_reference(coding::Encoder(fleet.content()),
+                                        served));
   EXPECT_EQ(fleet.ramp_stage(0), 0);
   EXPECT_EQ(fleet.ramp_collapses(), 1u);
   EXPECT_EQ(fleet.ramp_events().back().stage, 0);

@@ -22,7 +22,6 @@ ServiceConfig base_config(std::size_t devices) {
   for (std::size_t i = 0; i < devices; ++i) {
     config.fleet.devices.push_back(simgpu::gtx280());
   }
-  config.fleet.threads = 1;
   config.segments_per_session = 4;
   config.duration_s = 0.05;
   config.seed = 7;
@@ -363,7 +362,6 @@ ServiceConfig recovery_config() {
   ServiceConfig config;
   config.fleet.params = {.n = 8, .k = 64};
   config.fleet.devices = {simgpu::gtx280(), simgpu::gtx280()};
-  config.fleet.threads = 1;
   config.segments_per_session = 3;
   config.offered_load = 0.4;       // light: both runs complete everything
   config.deadline_factor = 1e6;    // deadlines never interfere
@@ -528,7 +526,6 @@ ServiceConfig tenant_config() {
   ServiceConfig config;
   config.fleet.params = {.n = 8, .k = 64};
   config.fleet.devices = {simgpu::gtx280(), simgpu::gtx280()};
-  config.fleet.threads = 1;
   config.segments_per_session = 3;
   config.duration_s = 0.08;
   config.seed = 23;
